@@ -38,6 +38,16 @@ CONTENT_SEED = 0x9D3B
 REF_FILESIZE_S = {20: 28, 35: 58, 155: 261, 333: 468, 512: 501}
 REF_ROTATIONS_MS = {n: round(0.003 * n, 3) for n in range(17)}
 REF_SBOXGEN_MS = {3: 0.0003, 9: 0.0057, 81: 0.0285, 243: 0.057}
+# Timed passes per sample, and how many of the fastest a sample keeps, for
+# the rotation and set-up sweeps (see _side_by_side_medians).  Neighbouring
+# rows differ by one ~1 ms unit rotation, or by about 1 us of set-up, so a
+# sample must be long enough (~25 ms for one rotation or a 3-bit set-up)
+# that scheduler jitter averages out instead of reordering neighbours.
+ROTATION_PASSES = 24
+ROTATION_KEPT = 18
+SBOXGEN_BATCH = 1024  # set-up calls per timed pass: one call takes only ~5 us
+SBOXGEN_PASSES = 8
+SBOXGEN_KEPT = 6
 
 
 @dataclass
@@ -74,13 +84,39 @@ def _timed_sample(fn, inner: int = 1) -> float:
     return (time.perf_counter() - t0) / inner
 
 
-def _median_seconds(fn, trials: int, warmup: int, inner: int = 1) -> float:
-    """Median wall time of fn over trials, each averaging `inner` calls."""
+def _median_seconds(fn, trials: int, warmup: int) -> float:
+    """Median wall time of fn over trials."""
     with _gc_paused():
         for _ in range(warmup):
             fn()
-        samples = [_timed_sample(fn, inner) for _ in range(trials)]
+        samples = [_timed_sample(fn) for _ in range(trials)]
     return statistics.median(samples)
+
+
+def _side_by_side_medians(fns, trials: int, warmup: int, batch: int, passes: int, kept: int):
+    """Median seconds per call of each of fns, all timed side by side.
+
+    A trial makes `passes` passes over fns, in alternating directions, and
+    times `batch` calls of each fn per pass.  A fn's sample for the trial is
+    the mean of its `kept` fastest passes: interference only ever adds time,
+    so the slowest passes are dropped as spikes.  Because every pass visits
+    every fn, a machine that speeds up or slows down mid-trial shifts all of
+    them alike, where timing one fn after another would move only the fns
+    timed before the change.
+    """
+    samples = [[] for _ in fns]
+    with _gc_paused():
+        for _ in range(warmup):
+            for fn in fns:
+                fn()
+        for _ in range(trials):
+            times = [[] for _ in fns]
+            for p in range(passes):
+                for i in range(len(fns)) if p % 2 == 0 else reversed(range(len(fns))):
+                    times[i].append(_timed_sample(fns[i], batch))
+            for sample, t in zip(samples, times):
+                sample.append(statistics.fmean(sorted(t)[:kept]))
+    return [statistics.median(sample) for sample in samples]
 
 
 def bench_filesize(
@@ -123,28 +159,26 @@ def bench_rotations(
 ) -> BenchReport:
     """Median rotate() time for 0..max_count unit table rotations.
 
-    Trials are interleaved across counts so slow clock or thermal drift
-    lands on every count equally instead of skewing the fitted line.
+    All counts are timed side by side, one call each per pass, so slow clock
+    or thermal drift lands on every count equally instead of skewing the
+    fitted line.
     """
     if not 0 <= max_count <= 16:
         raise UsageError(f"max_count must be in [0, 16], got {max_count}")
     box = build_sbox(0)
     counts = range(max_count + 1)
-    samples = {n: [] for n in counts}
-    with _gc_paused():
-        for _ in range(warmup):
-            for n in counts:
-                rotate(box, n)
-        for _ in range(trials):
-            for n in counts:
-                samples[n].append(_timed_sample(lambda: rotate(box, n)))
-    rows = [(str(n), statistics.median(samples[n]) * 1e3) for n in counts]
+    medians = _side_by_side_medians(
+        [lambda n=n: rotate(box, n) for n in counts],
+        trials, warmup, 1, ROTATION_PASSES, ROTATION_KEPT,
+    )
+    rows = [(str(n), seconds * 1e3) for n, seconds in zip(counts, medians)]
     report = BenchReport("rotations", "ms", rows)
     report.metadata = {
         "timestamp": _now_utc(),
         "trials": str(trials),
         "warmup": str(warmup),
-        "iterations": "1",
+        "iterations": str(ROTATION_PASSES),
+        "iterations_kept": str(ROTATION_KEPT),
         "ref_hardware_ms": _ref_series(REF_ROTATIONS_MS),
     }
     if len(rows) >= 2:
@@ -178,7 +212,8 @@ def bench_sboxgen(
 
     Lengths are powers of three up to 243.  The sixteen substitution tables
     are shared process-wide, so after the prewarm pass this measures the
-    marginal per-message work, which grows with the input length.
+    marginal per-message work, which grows with the input length.  All
+    lengths are timed side by side, SBOXGEN_BATCH calls each per pass.
     """
     lengths = sorted(bit_lengths)
     if not lengths:
@@ -188,23 +223,19 @@ def bench_sboxgen(
     for r in range(16):
         build_sbox(r)
     gen = random.Random(CONTENT_SEED)
-    inner = 512
-    rows = []
-    for length in lengths:
-        payload = gen.getrandbits(length)
-        seconds = _median_seconds(
-            lambda: _setup_message(length, payload),
-            trials,
-            warmup,
-            inner=inner,
-        )
-        rows.append((str(length), seconds * 1e3))
+    payloads = [gen.getrandbits(n) for n in lengths]
+    medians = _side_by_side_medians(
+        [lambda n=n, p=p: _setup_message(n, p) for n, p in zip(lengths, payloads)],
+        trials, warmup, SBOXGEN_BATCH, SBOXGEN_PASSES, SBOXGEN_KEPT,
+    )
+    rows = [(str(n), seconds * 1e3) for n, seconds in zip(lengths, medians)]
     report = BenchReport("sboxgen", "ms", rows)
     report.metadata = {
         "timestamp": _now_utc(),
         "trials": str(trials),
         "warmup": str(warmup),
-        "iterations": str(inner),
+        "iterations": str(SBOXGEN_BATCH * SBOXGEN_PASSES),
+        "iterations_kept": str(SBOXGEN_BATCH * SBOXGEN_KEPT),
         "ref_hardware_ms": _ref_series(REF_SBOXGEN_MS),
     }
     return report

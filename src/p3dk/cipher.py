@@ -17,12 +17,19 @@ plaintext bit length:
 
     magic "P3DK" | version 0x01 | flags 0x00 | bit length (8B LE) | blocks
 
+The stream functions read and write CHUNK_BYTES of plaintext (CHUNK_BLOCKS
+blocks) at a time, so their memory does not grow with the input when they
+are given files.
+
 Codebook mode leaks equal-block structure; this artifact makes no security
 claims (see README).
 """
 
+import io
+import os
 import secrets
 from dataclasses import dataclass, field
+from typing import BinaryIO
 
 from . import cube
 from .errors import FormatError, KeyFormatError, LengthError
@@ -40,6 +47,10 @@ ROUND_KEY_STRIDE = 47
 MAGIC = b"P3DK"
 VERSION = 1
 HEADER_BYTES = 14
+# 7776 bytes = 256 blocks of 243 bits exactly, so every chunk starts on both
+# a block and a byte boundary.
+CHUNK_BYTES = 7776
+CHUNK_BLOCKS = 8 * CHUNK_BYTES // BLOCK_BITS
 
 _STATE_MASK = (1 << STATE_BITS) - 1
 
@@ -49,7 +60,7 @@ def pad_block(bits: int, nbits: int) -> bytes:
     if nbits > BLOCK_BITS:
         raise LengthError(f"at most {BLOCK_BITS} bits per block, got {nbits}")
     if nbits < 0 or bits < 0 or bits >> nbits:
-        raise ValueError("bits value does not fit the declared bit count")
+        raise LengthError(f"bits value does not fit in {nbits} bits")
     return (bits << (BLOCK_BITS + PAD_BITS - nbits)).to_bytes(KEY_BYTES, "big")
 
 
@@ -212,49 +223,107 @@ def expand_key_for(master: bytes) -> ExpandedKey:
     return expand_key(master, seed_from_bytes(master))
 
 
-def encrypt_stream(plaintext: bytes, master: bytes) -> bytes:
-    """Encrypt arbitrary bytes into a ciphertext container (codebook mode)."""
-    ek = expand_key_for(master)
-    bit_len = 8 * len(plaintext)
-    nblocks = (bit_len + BLOCK_BITS - 1) // BLOCK_BITS
-    parts = [MAGIC, bytes([VERSION, 0]), bit_len.to_bytes(8, "little")]
-    for i in range(nblocks):
-        off = i * BLOCK_BITS
-        count = min(BLOCK_BITS, bit_len - off)
-        block = pad_block(_read_bits(plaintext, off, count), count)
-        parts.append(encrypt_block(block, ek))
+def _open_source(source: bytes | BinaryIO) -> tuple[BinaryIO, int]:
+    """A binary reader over bytes or a readable binary file, and the byte count left in it.
+
+    A bytes object is wrapped without a copy.  A file that cannot seek (a
+    pipe) is read whole, because the header needs the length before anything
+    else.
+    """
+    if not hasattr(source, "read"):
+        source = io.BytesIO(source)
+    elif not source.seekable():
+        source = io.BytesIO(source.read())
+    start = source.tell()
+    size = source.seek(0, os.SEEK_END) - start
+    source.seek(start)
+    return source, size
+
+
+def _read_exact(src: BinaryIO, count: int, what: str) -> bytes:
+    data = src.read(count)
+    if len(data) != count:
+        raise LengthError(f"{what} ended {count - len(data)} bytes early")
+    return data
+
+
+def _encrypt_chunk(data: bytes, ek: ExpandedKey) -> bytes:
+    nbits = 8 * len(data)
+    parts = []
+    for off in range(0, nbits, BLOCK_BITS):
+        count = min(BLOCK_BITS, nbits - off)
+        parts.append(encrypt_block(pad_block(_read_bits(data, off, count), count), ek))
     return b"".join(parts)
 
 
-def decrypt_stream(container: bytes, master: bytes) -> bytes:
-    """Invert encrypt_stream, truncating to the recorded bit length."""
-    if len(container) < HEADER_BYTES:
+def encrypt_stream(
+    plaintext: bytes | BinaryIO, master: bytes, out: BinaryIO | None = None
+) -> bytes | int:
+    """Encrypt bytes or a readable binary file into a ciphertext container (codebook mode).
+
+    Without `out`, return the container as bytes.  With a binary writer
+    `out`, write each chunk as soon as it is encrypted and return the number
+    of bytes written.
+    """
+    src, size = _open_source(plaintext)
+    ek = expand_key_for(master)
+    parts = []
+    write = parts.append if out is None else out.write
+    write(MAGIC + bytes([VERSION, 0]) + (8 * size).to_bytes(8, "little"))
+    for start in range(0, size, CHUNK_BYTES):
+        write(_encrypt_chunk(_read_exact(src, min(CHUNK_BYTES, size - start), "input"), ek))
+    if out is None:
+        return b"".join(parts)
+    nblocks = (8 * size + BLOCK_BITS - 1) // BLOCK_BITS
+    return HEADER_BYTES + nblocks * STATE_BYTES
+
+
+def decrypt_stream(
+    container: bytes | BinaryIO, master: bytes, out: BinaryIO | None = None
+) -> bytes | int:
+    """Invert encrypt_stream, truncating to the recorded bit length.
+
+    Takes bytes or a readable binary file.  The header and the payload length
+    are checked before the key is expanded; a corrupted block raises at that
+    block.  Without `out`, return the plaintext as bytes.  With a binary
+    writer `out`, write each chunk as soon as it is decrypted (chunks before
+    a failing block have been written when it raises) and return the number
+    of bytes written.
+    """
+    src, size = _open_source(container)
+    header = src.read(HEADER_BYTES)
+    if len(header) < HEADER_BYTES:
         raise FormatError("container shorter than its header")
-    if container[:4] != MAGIC:
-        raise FormatError(f"bad magic {container[:4]!r}")
-    if container[4] != VERSION:
-        raise FormatError(f"unsupported version {container[4]}")
-    if container[5] != 0:
-        raise FormatError(f"unsupported flags 0x{container[5]:02x}")
-    bit_len = int.from_bytes(container[6:14], "little")
+    if header[:4] != MAGIC:
+        raise FormatError(f"bad magic {header[:4]!r}")
+    if header[4] != VERSION:
+        raise FormatError(f"unsupported version {header[4]}")
+    if header[5] != 0:
+        raise FormatError(f"unsupported flags 0x{header[5]:02x}")
+    bit_len = int.from_bytes(header[6:14], "little")
     if bit_len % 8:
         raise FormatError(f"bit length {bit_len} is not a whole number of bytes")
     nblocks = (bit_len + BLOCK_BITS - 1) // BLOCK_BITS
-    payload = container[HEADER_BYTES:]
-    if len(payload) != nblocks * STATE_BYTES:
+    if size - HEADER_BYTES != nblocks * STATE_BYTES:
         raise LengthError(
-            f"payload is {len(payload)} bytes, header implies {nblocks * STATE_BYTES}"
+            f"payload is {size - HEADER_BYTES} bytes, header implies {nblocks * STATE_BYTES}"
         )
     ek = expand_key_for(master)
-    writer = _BitWriter()
+    parts = []
+    write = parts.append if out is None else out.write
     remaining = bit_len
-    for i in range(nblocks):
-        block = decrypt_block(payload[i * STATE_BYTES : (i + 1) * STATE_BYTES], ek)
-        bits = unpad_block(block)
-        count = min(BLOCK_BITS, remaining)
-        writer.write(bits >> (BLOCK_BITS - count), count)
-        remaining -= count
-    return bytes(writer.out)
+    for first in range(0, nblocks, CHUNK_BLOCKS):
+        count = min(CHUNK_BLOCKS, nblocks - first)
+        payload = _read_exact(src, count * STATE_BYTES, "container")
+        writer = _BitWriter()
+        for i in range(count):
+            block = decrypt_block(payload[i * STATE_BYTES : (i + 1) * STATE_BYTES], ek)
+            bits = unpad_block(block)
+            nbits = min(BLOCK_BITS, remaining)
+            writer.write(bits >> (BLOCK_BITS - nbits), nbits)
+            remaining -= nbits
+        write(writer.out)
+    return b"".join(parts) if out is None else bit_len // 8
 
 
 def generate_master_key() -> bytes:

@@ -4,11 +4,16 @@ Exit codes: 0 success, 1 usage, 2 I/O, 3 format or integrity failure
 (bad container magic, corrupted triples, impossible depth), 4 key file
 problems.  Every failure prints a one-line diagnostic to stderr.  All
 binary outputs go through a required --out flag, never to the terminal.
+encrypt and decrypt stream their files in fixed chunks and write to a temp
+file beside --out that replaces it only on success, so a failed run leaves
+no partial output.
 """
 
 import argparse
+import contextlib
 import math
 import os
+import secrets
 import sys
 
 from . import bench as bench_mod
@@ -113,16 +118,28 @@ def _cmd_keygen(args) -> int:
     return 0
 
 
+@contextlib.contextmanager
+def _replacing(path: str):
+    """Yield a new binary file beside path that replaces path only if the block succeeds."""
+    tmp = f"{path}.{secrets.token_hex(4)}.tmp"
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
+
+
 def _cmd_crypt(args, encrypting: bool) -> int:
     if os.path.realpath(args.infile) == os.path.realpath(args.out):
         raise UsageError("--in and --out must differ; refusing to overwrite input")
     key = _load_key(args.key)
-    with open(args.infile, "rb") as fh:
-        data = fh.read()
-    out = encrypt_stream(data, key) if encrypting else decrypt_stream(data, key)
-    with open(args.out, "wb") as fh:
-        fh.write(out)
-    print(f"wrote {len(out)} bytes to {args.out}")
+    crypt = encrypt_stream if encrypting else decrypt_stream
+    with open(args.infile, "rb") as src, _replacing(args.out) as dst:
+        written = crypt(src, key, dst)
+    print(f"wrote {written} bytes to {args.out}")
     return 0
 
 

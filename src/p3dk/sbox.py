@@ -6,8 +6,10 @@ Inputs and outputs are packed as 12-bit integers (a << 8 | b << 4 | c) and
 the full 4096-entry forward/inverse tables are materialized.
 
 Tables for the 16 rotations are built once and shared; SBox3D is immutable,
-so sharing is safe.  rotate() deliberately performs one full table pass per
-unit so its cost grows linearly with the rotation count.
+so sharing is safe.  Every table entry is taken from one tuple of the 4096
+possible values, so all 32 tables share the same 4096 int objects instead
+of each holding its own copies.  rotate() deliberately performs one full
+table pass per unit so its cost grows linearly with the rotation count.
 """
 
 from dataclasses import dataclass
@@ -18,6 +20,7 @@ TRIPLE_COUNT = 4096
 OFFSET = 8  # output sequence starts at the (16/2+1)th hexadecimal value
 STATE_BYTES = 93
 
+_VALUES = tuple(range(TRIPLE_COUNT))
 _TABLE_CACHE: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
 
 
@@ -40,9 +43,10 @@ def _tables(rotation: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     for a in range(16):
         for b in range(16):
             for c in range(16):
+                src = (a << 8) | (b << 4) | c
                 out = (b << 8) | (c << 4) | ((a + c + k) & 0xF)
-                forward[(a << 8) | (b << 4) | c] = out
-                inverse[out] = (a << 8) | (b << 4) | c
+                forward[src] = _VALUES[out]
+                inverse[out] = _VALUES[src]
     entry = (tuple(forward), tuple(inverse))
     _TABLE_CACHE[rotation] = entry
     return entry

@@ -1,6 +1,8 @@
 import pytest
 
 from p3dk.bench import (
+    ROTATION_KEPT,
+    ROTATION_PASSES,
     avalanche,
     bench_filesize,
     bench_rotations,
@@ -41,6 +43,8 @@ def test_rotations_shape():
     assert all(value >= 0 for _, value in report.rows)
     assert "slope_ms_per_rotation" in report.metadata
     assert "r_squared" in report.metadata
+    assert report.metadata["iterations"] == str(ROTATION_PASSES)
+    assert report.metadata["iterations_kept"] == str(ROTATION_KEPT)
 
 
 def test_rotations_rejects_bad_count():

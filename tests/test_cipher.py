@@ -1,3 +1,4 @@
+import io
 import random
 
 import pytest
@@ -47,6 +48,12 @@ def test_pad_block_single_one_bit():
 def test_pad_block_too_many_bits():
     with pytest.raises(LengthError):
         pad_block(0, 244)
+
+
+@pytest.mark.parametrize("bits, nbits", [(-1, 8), (256, 8), (2, 1), (0, -1)])
+def test_pad_block_value_must_fit(bits, nbits):
+    with pytest.raises(LengthError):
+        pad_block(bits, nbits)
 
 
 def test_rotl_bits_full_cycle_and_bytewise():
@@ -222,6 +229,27 @@ def test_stream_round_trip_sizes():
     for size in (0, 1, 30, 31, 60, 61, 243 * 4 // 8, 10 * 1024):
         data = gen.randbytes(size)
         assert decrypt_stream(encrypt_stream(data, key), key) == data
+
+
+@pytest.mark.parametrize("size", (0, 1, 7775, 7776, 7777, 2 * 7776 + 5))
+def test_stream_files_match_bytes(size):
+    assert cipher.CHUNK_BYTES == 7776 and cipher.CHUNK_BLOCKS == 256
+    gen = random.Random(size)
+    key, data = gen.randbytes(31), gen.randbytes(size)
+    box = encrypt_stream(data, key)
+    out = io.BytesIO()
+    assert encrypt_stream(io.BytesIO(data), key, out) == len(box)
+    assert out.getvalue() == box
+    back = io.BytesIO()
+    assert decrypt_stream(io.BytesIO(box), key, back) == size
+    assert back.getvalue() == data == decrypt_stream(box, key)
+
+
+def test_stream_reads_from_the_current_position():
+    key = bytes([0x2A] * 31)
+    src = io.BytesIO(b"skip" + b"payload")
+    src.read(4)
+    assert encrypt_stream(src, key) == encrypt_stream(b"payload", key)
 
 
 def test_stream_payload_expansion_ratio():

@@ -1,9 +1,21 @@
+import os
+import random
 import subprocess
 import sys
+import tempfile
+import threading
+import tracemalloc
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from p3dk import cipher
+from p3dk.cipher import CHUNK_BLOCKS, CHUNK_BYTES, HEADER_BYTES, STATE_BYTES, encrypt_stream
 from p3dk.cli import run
+
+KEY = bytes(range(0, 60, 2)) + b"\x40"
 
 
 def write_key(tmp_path):
@@ -183,3 +195,96 @@ def test_console_entry_point_help():
     assert proc.returncode == 0
     assert "keygen" in proc.stdout
     assert "dump-sbox" in proc.stdout
+
+
+def crypt(verb, key_path, src, dst):
+    return run([verb, "--key", str(key_path), "--in", str(src), "--out", str(dst)])
+
+
+def check_cli_round_trip(tmp, data):
+    """The CLI container equals encrypt_stream's bytes, and decrypts back."""
+    key_path, plain, boxed, opened = (tmp / name for name in ("key", "plain", "box", "back"))
+    key_path.write_bytes(KEY)
+    plain.write_bytes(data)
+    assert crypt("encrypt", key_path, plain, boxed) == 0
+    assert boxed.read_bytes() == encrypt_stream(data, KEY)
+    assert crypt("decrypt", key_path, boxed, opened) == 0
+    assert opened.read_bytes() == data
+    assert sorted(p.name for p in tmp.iterdir()) == ["back", "box", "key", "plain"]
+
+
+@pytest.mark.parametrize(
+    "size", (0, 1, 242, 243, 244, CHUNK_BYTES - 1, CHUNK_BYTES, CHUNK_BYTES + 1, 2 * CHUNK_BYTES + 5)
+)
+def test_cli_container_matches_encrypt_stream(tmp_path, size):
+    check_cli_round_trip(tmp_path, random.Random(size).randbytes(size))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.binary(max_size=1000))
+def test_cli_container_matches_encrypt_stream_property(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        check_cli_round_trip(Path(tmp), data)
+
+
+def _break(blob, how):
+    """A container made undecryptable: a flipped bit in its last chunk, cut short, or as is."""
+    if how == "bitflip":
+        blob = bytearray(blob)
+        blob[HEADER_BYTES + 2 * CHUNK_BLOCKS * STATE_BYTES + 50] ^= 0x04
+        return bytes(blob)
+    return blob[:-1] if how == "truncated" else blob
+
+
+@pytest.mark.parametrize("existing", (None, b"keep me"))
+@pytest.mark.parametrize("how", ("bitflip", "truncated", "wrong_key"))
+def test_failed_decrypt_leaves_no_output(tmp_path, how, existing):
+    key_path, boxed, opened = tmp_path / "key", tmp_path / "box", tmp_path / "back"
+    data = random.Random(3).randbytes(2 * CHUNK_BYTES + 100)  # three chunks
+    key_path.write_bytes(KEY)
+    boxed.write_bytes(_break(encrypt_stream(data, KEY), how))
+    if how == "wrong_key":
+        key_path.write_bytes(bytes(30) + b"\x20")
+    if existing is not None:
+        opened.write_bytes(existing)
+    before = sorted(p.name for p in tmp_path.iterdir())
+    assert crypt("decrypt", key_path, boxed, opened) == 3
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+    if existing is not None:
+        assert opened.read_bytes() == existing
+
+
+def test_cli_memory_does_not_grow_with_file_size(tmp_path, monkeypatch):
+    """A 2 MB encrypt plus decrypt through the CLI allocates far less than the file.
+
+    The block layers are replaced by cheap stand-ins (a 93-byte block that
+    carries the 31 plaintext bytes) so the run takes seconds; reading,
+    packing, unpacking, chunk buffers and writing are the real code.
+    """
+    monkeypatch.setattr(cipher, "encrypt_block", lambda p31, ek: p31 * 3)
+    monkeypatch.setattr(cipher, "decrypt_block", lambda c93, ek: c93[:31])
+    check_cli_round_trip(tmp_path, b"warm")  # builds the key's S-box and fills lazy caches
+    key_path, plain, boxed, opened = (tmp_path / name for name in ("key", "plain", "box", "back"))
+    plain.write_bytes(random.Random(4).randbytes(2 * 1024 * 1024))
+    tracemalloc.start()
+    try:
+        assert crypt("encrypt", key_path, plain, boxed) == 0
+        assert crypt("decrypt", key_path, boxed, opened) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert opened.read_bytes() == plain.read_bytes()
+    assert peak < 256 * 1024, f"peak {peak} bytes"
+
+
+def test_cli_reads_a_pipe(tmp_path):
+    key_path, fifo, boxed = tmp_path / "key", tmp_path / "fifo", tmp_path / "box"
+    key_path.write_bytes(KEY)
+    os.mkfifo(fifo)
+    data = random.Random(5).randbytes(CHUNK_BYTES + 10)
+    writer = threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True)
+    writer.start()
+    assert crypt("encrypt", key_path, fifo, boxed) == 0
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert boxed.read_bytes() == encrypt_stream(data, KEY)

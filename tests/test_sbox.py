@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from p3dk import sbox
 from p3dk.errors import LengthError, RangeError
 from p3dk.sbox import (
     build_sbox,
@@ -97,3 +98,9 @@ def test_dump_sbox_lines():
         head, _, out = line.partition(" = ")
         a, b, c = (int(ch, 16) for ch in (head[2], head[5], head[8]))
         assert substitute(box, (a, b, c)) == tuple(int(ch, 16) for ch in out)
+
+
+def test_tables_share_one_set_of_ints():
+    tables = [table for rotation in range(16) for table in sbox._tables(rotation)]
+    assert len(tables) == 32
+    assert len({id(value) for table in tables for value in table}) <= 4096
