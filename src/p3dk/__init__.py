@@ -2,114 +2,14 @@
 
 Research reconstruction for study and benchmarking.  Not a vetted cipher;
 do not use it to protect real data.
+
+The package exports the stream API; block-level pieces are imported from
+p3dk.cipher, p3dk.sbox and p3dk.cube.
 """
 
-from .bench import (
-    BenchReport,
-    avalanche,
-    bench_filesize,
-    bench_rotations,
-    bench_sboxgen,
-    emit_csv,
-    emit_svg,
-    read_csv,
-)
-from .cipher import (
-    ExpandedKey,
-    decrypt_block,
-    decrypt_stream,
-    encrypt_block,
-    encrypt_stream,
-    expand_key,
-    expand_key_for,
-    expand_key_with,
-    generate_master_key,
-    inv_mix_columns,
-    inv_shift_rows,
-    mix_columns,
-    pad_block,
-    rotl_bits,
-    shift_rows,
-    unpad_block,
-    validate_master_key,
-)
-from .cube import build_cube, decode_block, decode_triple, dump_cube, encode_block, encode_byte
-from .errors import (
-    FormatError,
-    IntegrityError,
-    IoError,
-    KeyFormatError,
-    LengthError,
-    P3DKError,
-    RangeError,
-    SeedError,
-    UsageError,
-)
-from .rng import RngState, next_below, next_u64, seed_from_bytes
-from .sbox import (
-    SBox3D,
-    build_sbox,
-    dump_sbox,
-    inv_sub_state,
-    invert,
-    rotate,
-    sub_state,
-    substitute,
-)
+from .cipher import decrypt_stream, encrypt_stream, generate_master_key
+from .errors import P3DKError
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BenchReport",
-    "ExpandedKey",
-    "FormatError",
-    "IntegrityError",
-    "IoError",
-    "KeyFormatError",
-    "LengthError",
-    "P3DKError",
-    "RangeError",
-    "RngState",
-    "SBox3D",
-    "SeedError",
-    "UsageError",
-    "avalanche",
-    "bench_filesize",
-    "bench_rotations",
-    "bench_sboxgen",
-    "build_cube",
-    "build_sbox",
-    "decode_block",
-    "decode_triple",
-    "decrypt_block",
-    "decrypt_stream",
-    "dump_cube",
-    "dump_sbox",
-    "emit_csv",
-    "emit_svg",
-    "encode_block",
-    "encode_byte",
-    "encrypt_block",
-    "encrypt_stream",
-    "expand_key",
-    "expand_key_for",
-    "expand_key_with",
-    "generate_master_key",
-    "inv_mix_columns",
-    "inv_shift_rows",
-    "inv_sub_state",
-    "invert",
-    "mix_columns",
-    "next_below",
-    "next_u64",
-    "pad_block",
-    "read_csv",
-    "rotate",
-    "rotl_bits",
-    "seed_from_bytes",
-    "shift_rows",
-    "sub_state",
-    "substitute",
-    "unpad_block",
-    "validate_master_key",
-]
+__all__ = ["P3DKError", "decrypt_stream", "encrypt_stream", "generate_master_key"]

@@ -21,6 +21,7 @@ from . import cube
 from .cipher import (
     BLOCK_BITS,
     KEY_BYTES,
+    STATE_BITS,
     encrypt_block,
     encrypt_stream,
     expand_key_for,
@@ -195,13 +196,7 @@ def _setup_message(length_bits: int, payload: int) -> None:
     """The per-message setup path: pad, cube-encode, seed, fetch S-box."""
     nbytes = (length_bits + 7) // 8
     data = (payload << (8 * nbytes - length_bits)).to_bytes(nbytes, "big")
-    encoded = bytearray(3 * nbytes)
-    for p in range(nbytes):
-        x, y, code = cube._encode_coords(data[p], p)
-        encoded[3 * p] = 48 + x
-        encoded[3 * p + 1] = 48 + y
-        encoded[3 * p + 2] = code
-    rng = seed_from_bytes(bytes(encoded))
+    rng = seed_from_bytes(cube.encode_bytes(data))
     build_sbox(next_below(rng, 16))
 
 
@@ -267,7 +262,7 @@ def avalanche(
             changed = (
                 int.from_bytes(c1, "big") ^ int.from_bytes(c2, "big")
             ).bit_count()
-            fractions.append(changed / 744)
+            fractions.append(changed / STATE_BITS)
     report = BenchReport(
         "avalanche",
         "fraction",
@@ -284,7 +279,7 @@ def avalanche(
         "keys": str(key_count),
         "flips_per_key": str(flips_per_key),
         "seed": str(seed),
-        "ciphertext_bits": "744",
+        "ciphertext_bits": str(STATE_BITS),
     }
     return report
 

@@ -32,15 +32,15 @@ from dataclasses import dataclass, field
 from typing import BinaryIO
 
 from . import cube
-from .errors import FormatError, KeyFormatError, LengthError
-from .rng import RngState, next_below, seed_from_bytes
+from .errors import FormatError, IntegrityError, KeyFormatError, LengthError, RangeError
+from .rng import next_below, seed_from_bytes
 from .sbox import SBox3D, build_sbox, inv_sub_state, sub_state
 
 BLOCK_BITS = 243
-PAD_BITS = 5
-KEY_BYTES = 31
-STATE_BYTES = 93
-STATE_BITS = 744
+KEY_BYTES = cube.BLOCK_BYTES
+PAD_BITS = 8 * KEY_BYTES - BLOCK_BITS
+STATE_BYTES = cube.ENCODED_BYTES
+STATE_BITS = 8 * STATE_BYTES
 ROUNDS = 16
 ROUND_KEY_STRIDE = 47
 
@@ -53,6 +53,23 @@ CHUNK_BYTES = 7776
 CHUNK_BLOCKS = 8 * CHUNK_BYTES // BLOCK_BITS
 
 _STATE_MASK = (1 << STATE_BITS) - 1
+_PAD_MASK = (1 << PAD_BITS) - 1
+
+# The state is a grid of 3 rows of KEY_BYTES columns; _ROWS[r] slices out row r.
+_ROWS = tuple(slice(r * KEY_BYTES, (r + 1) * KEY_BYTES) for r in range(3))
+
+
+def _rotated_rows(step: int) -> tuple[slice, ...]:
+    """Non-empty slices whose concatenation rotates grid row r left by step * r columns."""
+    parts = []
+    for r, row in enumerate(_ROWS):
+        cut = row.start + (step * r) % KEY_BYTES
+        parts += [slice(cut, row.stop), slice(row.start, cut)]
+    return tuple(s for s in parts if s.start < s.stop)
+
+
+_SHIFT = _rotated_rows(1)
+_INV_SHIFT = _rotated_rows(-1)
 
 
 def pad_block(bits: int, nbits: int) -> bytes:
@@ -65,10 +82,13 @@ def pad_block(bits: int, nbits: int) -> bytes:
 
 
 def unpad_block(block: bytes) -> int:
-    """Drop the 5 pad bits and return the 243 data bits as an integer."""
+    """Return the 243 data bits as an integer; the 5 pad bits must be zero."""
     if len(block) != KEY_BYTES:
         raise LengthError(f"expected {KEY_BYTES} bytes, got {len(block)}")
-    return int.from_bytes(block, "big") >> PAD_BITS
+    value = int.from_bytes(block, "big")
+    if value & _PAD_MASK:
+        raise IntegrityError(f"pad bits are 0b{value & _PAD_MASK:0{PAD_BITS}b}, not zero")
+    return value >> PAD_BITS
 
 
 def rotl_bits(state: bytes, count: int) -> bytes:
@@ -109,8 +129,9 @@ def expand_key_with(master: bytes, rho: int, sbox_rotation: int) -> ExpandedKey:
     return ExpandedKey(k93, rho, sbox_rotation, round_keys)
 
 
-def expand_key(master: bytes, rng: RngState) -> ExpandedKey:
-    """Expand a 31-byte master key; rng must be freshly seeded from it."""
+def expand_key_for(master: bytes) -> ExpandedKey:
+    """Seed the keyed generator from a 31-byte master key, draw rho and the S-box rotation, expand."""
+    rng = seed_from_bytes(master)
     rho = next_below(rng, STATE_BITS)
     sbox_rotation = next_below(rng, 16)
     return expand_key_with(master, rho, sbox_rotation)
@@ -118,42 +139,38 @@ def expand_key(master: bytes, rng: RngState) -> ExpandedKey:
 
 def shift_rows(state: bytes) -> bytes:
     """Rotate grid row r left by r columns (row 0 unchanged)."""
-    return (
-        state[:31]
-        + state[32:62] + state[31:32]
-        + state[64:93] + state[62:64]
-    )
+    a, b, c, d, e = _SHIFT
+    return state[a] + state[b] + state[c] + state[d] + state[e]
 
 
 def inv_shift_rows(state: bytes) -> bytes:
-    return (
-        state[:31]
-        + state[61:62] + state[31:61]
-        + state[91:93] + state[62:91]
-    )
+    a, b, c, d, e = _INV_SHIFT
+    return state[a] + state[b] + state[c] + state[d] + state[e]
 
 
 def mix_columns(state: bytes) -> bytes:
     """Per column (u, v, w) -> (u^v, v^w, u^v^w); XOR-linear and invertible."""
-    r0 = int.from_bytes(state[:31], "big")
-    r1 = int.from_bytes(state[31:62], "big")
-    r2 = int.from_bytes(state[62:], "big")
+    top, mid, low = _ROWS
+    r0 = int.from_bytes(state[top], "big")
+    r1 = int.from_bytes(state[mid], "big")
+    r2 = int.from_bytes(state[low], "big")
     return (
-        (r0 ^ r1).to_bytes(31, "big")
-        + (r1 ^ r2).to_bytes(31, "big")
-        + (r0 ^ r1 ^ r2).to_bytes(31, "big")
+        (r0 ^ r1).to_bytes(KEY_BYTES, "big")
+        + (r1 ^ r2).to_bytes(KEY_BYTES, "big")
+        + (r0 ^ r1 ^ r2).to_bytes(KEY_BYTES, "big")
     )
 
 
 def inv_mix_columns(state: bytes) -> bytes:
     """Per column (o1, o2, o3) -> (o2^o3, o1^o2^o3, o1^o3)."""
-    o1 = int.from_bytes(state[:31], "big")
-    o2 = int.from_bytes(state[31:62], "big")
-    o3 = int.from_bytes(state[62:], "big")
+    top, mid, low = _ROWS
+    o1 = int.from_bytes(state[top], "big")
+    o2 = int.from_bytes(state[mid], "big")
+    o3 = int.from_bytes(state[low], "big")
     return (
-        (o2 ^ o3).to_bytes(31, "big")
-        + (o1 ^ o2 ^ o3).to_bytes(31, "big")
-        + (o1 ^ o3).to_bytes(31, "big")
+        (o2 ^ o3).to_bytes(KEY_BYTES, "big")
+        + (o1 ^ o2 ^ o3).to_bytes(KEY_BYTES, "big")
+        + (o1 ^ o3).to_bytes(KEY_BYTES, "big")
     )
 
 
@@ -190,39 +207,6 @@ def decrypt_block(c93: bytes, ek: ExpandedKey) -> bytes:
     return cube.decode_block(state)
 
 
-def _read_bits(data: bytes, offset: int, count: int) -> int:
-    """Read `count` bits MSB-first starting at bit `offset`."""
-    first = offset >> 3
-    last = (offset + count + 7) >> 3
-    window = int.from_bytes(data[first:last], "big")
-    excess = (last - first) * 8 - (offset - first * 8) - count
-    return (window >> excess) & ((1 << count) - 1)
-
-
-class _BitWriter:
-    """Accumulates MSB-first bit runs and flushes whole bytes."""
-
-    def __init__(self):
-        self.out = bytearray()
-        self.acc = 0
-        self.nbits = 0
-
-    def write(self, bits: int, count: int):
-        self.acc = (self.acc << count) | bits
-        self.nbits += count
-        whole = self.nbits & ~7
-        if whole:
-            rem = self.nbits - whole
-            self.out += (self.acc >> rem).to_bytes(whole >> 3, "big")
-            self.acc &= (1 << rem) - 1
-            self.nbits = rem
-
-
-def expand_key_for(master: bytes) -> ExpandedKey:
-    """Seed the keyed generator from the master key and expand it."""
-    return expand_key(master, seed_from_bytes(master))
-
-
 def _open_source(source: bytes | BinaryIO) -> tuple[BinaryIO, int]:
     """A binary reader over bytes or a readable binary file, and the byte count left in it.
 
@@ -248,11 +232,15 @@ def _read_exact(src: BinaryIO, count: int, what: str) -> bytes:
 
 
 def _encrypt_chunk(data: bytes, ek: ExpandedKey) -> bytes:
-    nbits = 8 * len(data)
+    """Encrypt a chunk, taking its bits BLOCK_BITS at a time, MSB first, from one integer."""
+    value = int.from_bytes(data, "big")
+    rest = 8 * len(data)
     parts = []
-    for off in range(0, nbits, BLOCK_BITS):
-        count = min(BLOCK_BITS, nbits - off)
-        parts.append(encrypt_block(pad_block(_read_bits(data, off, count), count), ek))
+    while rest:
+        count = min(BLOCK_BITS, rest)
+        rest -= count
+        bits = (value >> rest) & ((1 << count) - 1)
+        parts.append(encrypt_block(pad_block(bits, count), ek))
     return b"".join(parts)
 
 
@@ -285,10 +273,13 @@ def decrypt_stream(
 
     Takes bytes or a readable binary file.  The header and the payload length
     are checked before the key is expanded; a corrupted block raises at that
-    block.  Without `out`, return the plaintext as bytes.  With a binary
-    writer `out`, write each chunk as soon as it is decrypted (chunks before
-    a failing block have been written when it raises) and return the number
-    of bytes written.
+    block, with the block index and its container byte range in the message.
+    Only the one canonical container of each plaintext is accepted: non-zero
+    pad bits, or non-zero bits past the recorded length in the last block,
+    raise IntegrityError.  Without `out`, return the plaintext as bytes.  With
+    a binary writer `out`, write each chunk as soon as it is decrypted (chunks
+    before a failing block have been written when it raises) and return the
+    number of bytes written.
     """
     src, size = _open_source(container)
     header = src.read(HEADER_BYTES)
@@ -311,25 +302,31 @@ def decrypt_stream(
     ek = expand_key_for(master)
     parts = []
     write = parts.append if out is None else out.write
-    remaining = bit_len
     for first in range(0, nblocks, CHUNK_BLOCKS):
         count = min(CHUNK_BLOCKS, nblocks - first)
         payload = _read_exact(src, count * STATE_BYTES, "container")
-        writer = _BitWriter()
-        for i in range(count):
-            block = decrypt_block(payload[i * STATE_BYTES : (i + 1) * STATE_BYTES], ek)
-            bits = unpad_block(block)
-            nbits = min(BLOCK_BITS, remaining)
-            writer.write(bits >> (BLOCK_BITS - nbits), nbits)
-            remaining -= nbits
-        write(writer.out)
+        value = 0
+        try:
+            for i in range(count):
+                c93 = payload[i * STATE_BYTES : (i + 1) * STATE_BYTES]
+                value = (value << BLOCK_BITS) | unpad_block(decrypt_block(c93, ek))
+            nbits = min(BLOCK_BITS * count, bit_len - BLOCK_BITS * first)
+            excess = BLOCK_BITS * count - nbits
+            if value & ((1 << excess) - 1):
+                raise IntegrityError(f"non-zero bits past the recorded length of {bit_len} bits")
+        except (IntegrityError, RangeError) as exc:
+            start = HEADER_BYTES + (first + i) * STATE_BYTES
+            raise type(exc)(
+                f"block {first + i} (container bytes {start}-{start + STATE_BYTES - 1}): {exc}"
+            ) from None
+        write((value >> excess).to_bytes(nbits // 8, "big"))
     return b"".join(parts) if out is None else bit_len // 8
 
 
 def generate_master_key() -> bytes:
     """Fresh 31-byte key from system entropy, tail bits zeroed."""
     kb = bytearray(secrets.token_bytes(KEY_BYTES))
-    kb[-1] &= 0xE0
+    kb[-1] &= 0xFF ^ _PAD_MASK
     return bytes(kb)
 
 
@@ -337,6 +334,6 @@ def validate_master_key(kb: bytes) -> bytes:
     """Check the key file rules: exactly 31 bytes, last 5 bits zero."""
     if len(kb) != KEY_BYTES:
         raise KeyFormatError(f"key must be {KEY_BYTES} bytes, got {len(kb)}")
-    if kb[-1] & 0x1F:
+    if kb[-1] & _PAD_MASK:
         raise KeyFormatError("key tail bits 243..247 must be zero")
     return kb

@@ -23,15 +23,14 @@ position: 31 input bytes always expand to 93 output bytes.
 from .errors import IntegrityError, LengthError, RangeError
 
 SYMBOL_BASE = 42  # '*', the alphabet origin
+DIGIT_BASE = ord("0")
 CUBE_SIZE = 9
 BLOCK_BYTES = 31
 ENCODED_BYTES = 93
 
-CubeMatrix = list  # 9x9x9 nested lists of (str, str) cells
 
-
-def build_cube() -> CubeMatrix:
-    """Materialize the full 9x9x9 cube of symbol pairs."""
+def build_cube() -> list:
+    """Materialize the full 9x9x9 cube of symbol pairs as nested lists."""
     return [
         [
             [
@@ -53,26 +52,17 @@ def _encode_coords(b: int, p: int) -> tuple[int, int, int]:
     return x, y, SYMBOL_BASE + 9 * y + z_eff
 
 
-def encode_byte(b: int, p: int) -> tuple[str, str, str]:
-    """Encode one byte at block position p as a symbol triple."""
-    x, y, code = _encode_coords(b, p)
-    return (chr(ord("0") + x), chr(ord("0") + y), chr(code))
+def _decode_coords(x: int, y: int, m: int, p: int) -> int:
+    """Invert _encode_coords: row x, column y, depth symbol value m at position p.
 
-
-def decode_triple(t: tuple[str, str, str], p: int) -> int:
-    """Invert encode_byte at the same position.
-
-    Raises IntegrityError when the triple's redundant column copy does not
-    match (corruption), RangeError when the depth is impossible for p.
+    Raises IntegrityError when a value is off the alphabet or the depth
+    symbol's redundant column copy does not match y (corruption), RangeError
+    when the depth is impossible for p.
     """
-    row, col, depth = t
-    x = ord(row) - ord("0")
-    y = ord(col) - ord("0")
-    m = ord(depth) - SYMBOL_BASE
     if not (0 <= x <= 8 and 0 <= y <= 8):
-        raise IntegrityError(f"row/col digits out of range: {t!r}")
+        raise IntegrityError(f"row/col digits out of range: row {x}, col {y}")
     if not (0 <= m <= 80):
-        raise IntegrityError(f"depth symbol out of alphabet: {t!r}")
+        raise IntegrityError(f"depth symbol out of alphabet: {chr(SYMBOL_BASE + m)!r}")
     y_check, z_eff = divmod(m, 9)
     if y_check != y:
         raise IntegrityError(
@@ -84,19 +74,37 @@ def decode_triple(t: tuple[str, str, str], p: int) -> int:
     return (81 * q + 9 * x + y + SYMBOL_BASE) & 0xFF
 
 
+def encode_byte(b: int, p: int) -> tuple[str, str, str]:
+    """Encode one byte at block position p as a symbol triple."""
+    x, y, code = _encode_coords(b, p)
+    return (chr(DIGIT_BASE + x), chr(DIGIT_BASE + y), chr(code))
+
+
+def decode_triple(t: tuple[str, str, str], p: int) -> int:
+    """Invert encode_byte at the same position (errors as _decode_coords)."""
+    row, col, depth = t
+    return _decode_coords(
+        ord(row) - DIGIT_BASE, ord(col) - DIGIT_BASE, ord(depth) - SYMBOL_BASE, p
+    )
+
+
+def encode_bytes(data: bytes) -> bytes:
+    """Expand each byte of data to the triple for its position: 3 bytes out per byte in."""
+    out = bytearray(3 * len(data))
+    for p, b in enumerate(data):
+        x, y, code = _encode_coords(b, p)
+        j = 3 * p
+        out[j] = DIGIT_BASE + x
+        out[j + 1] = DIGIT_BASE + y
+        out[j + 2] = code
+    return bytes(out)
+
+
 def encode_block(block: bytes) -> bytes:
     """Expand 31 bytes to 93, one triple per byte."""
     if len(block) != BLOCK_BYTES:
         raise LengthError(f"expected {BLOCK_BYTES} bytes, got {len(block)}")
-    out = bytearray(ENCODED_BYTES)
-    digit0 = ord("0")
-    for p in range(BLOCK_BYTES):
-        x, y, code = _encode_coords(block[p], p)
-        j = 3 * p
-        out[j] = digit0 + x
-        out[j + 1] = digit0 + y
-        out[j + 2] = code
-    return bytes(out)
+    return encode_bytes(block)
 
 
 def decode_block(encoded: bytes) -> bytes:
@@ -104,17 +112,21 @@ def decode_block(encoded: bytes) -> bytes:
     if len(encoded) != ENCODED_BYTES:
         raise LengthError(f"expected {ENCODED_BYTES} bytes, got {len(encoded)}")
     out = bytearray(BLOCK_BYTES)
-    for p in range(BLOCK_BYTES):
-        j = 3 * p
-        t = (chr(encoded[j]), chr(encoded[j + 1]), chr(encoded[j + 2]))
-        try:
-            out[p] = decode_triple(t, p)
-        except (IntegrityError, RangeError) as exc:
-            raise type(exc)(f"triple {p}: {exc}") from None
+    try:
+        for p in range(BLOCK_BYTES):
+            j = 3 * p
+            out[p] = _decode_coords(
+                encoded[j] - DIGIT_BASE,
+                encoded[j + 1] - DIGIT_BASE,
+                encoded[j + 2] - SYMBOL_BASE,
+                p,
+            )
+    except (IntegrityError, RangeError) as exc:
+        raise type(exc)(f"triple {p}: {exc}") from None
     return bytes(out)
 
 
-def dump_cube(cube: CubeMatrix) -> str:
+def dump_cube(cube: list) -> str:
     """Render the cube as one `arr[x][y][z] = <pair>` record per line."""
     lines = []
     for x in range(CUBE_SIZE):
@@ -123,22 +135,3 @@ def dump_cube(cube: CubeMatrix) -> str:
                 first, second = cube[x][y][z]
                 lines.append(f"arr[{x}][{y}][{z}] = {first}{second}")
     return "\n".join(lines) + "\n"
-
-
-def parse_cube_dump(text: str) -> CubeMatrix:
-    """Rebuild a cube from dump_cube output (any cells-per-line layout)."""
-    import re
-
-    cube = [
-        [[None] * CUBE_SIZE for _ in range(CUBE_SIZE)] for _ in range(CUBE_SIZE)
-    ]
-    for x, y, z, pair in re.findall(
-        r"arr\[(\d)\]\[(\d)\]\[(\d)\] = (\S\S)", text
-    ):
-        cube[int(x)][int(y)][int(z)] = (pair[0], pair[1])
-    for x in range(CUBE_SIZE):
-        for y in range(CUBE_SIZE):
-            for z in range(CUBE_SIZE):
-                if cube[x][y][z] is None:
-                    raise LengthError(f"dump missing cell ({x},{y},{z})")
-    return cube

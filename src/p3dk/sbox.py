@@ -14,11 +14,11 @@ table pass per unit so its cost grows linearly with the rotation count.
 
 from dataclasses import dataclass
 
+from .cube import ENCODED_BYTES
 from .errors import LengthError, RangeError
 
 TRIPLE_COUNT = 4096
 OFFSET = 8  # output sequence starts at the (16/2+1)th hexadecimal value
-STATE_BYTES = 93
 
 _VALUES = tuple(range(TRIPLE_COUNT))
 _TABLE_CACHE: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
@@ -92,10 +92,10 @@ def _map_state(table: tuple[int, ...], state: bytes) -> bytes:
     Nibbles are taken high-first within each byte and grouped left to right
     into triples; every 3 bytes hold exactly 2 triples.
     """
-    if len(state) != STATE_BYTES:
-        raise LengthError(f"state must be {STATE_BYTES} bytes, got {len(state)}")
-    out = bytearray(STATE_BYTES)
-    for j in range(0, STATE_BYTES, 3):
+    if len(state) != ENCODED_BYTES:
+        raise LengthError(f"state must be {ENCODED_BYTES} bytes, got {len(state)}")
+    out = bytearray(ENCODED_BYTES)
+    for j in range(0, ENCODED_BYTES, 3):
         b0 = state[j]
         b1 = state[j + 1]
         b2 = state[j + 2]

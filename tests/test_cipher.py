@@ -2,16 +2,19 @@ import io
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kat_oracle
 import kat_vectors
 from p3dk import cipher, cube
 from p3dk.cipher import (
+    BLOCK_BITS,
+    STATE_BYTES,
     decrypt_block,
     decrypt_stream,
     encrypt_block,
     encrypt_stream,
-    expand_key,
     expand_key_for,
     expand_key_with,
     generate_master_key,
@@ -28,9 +31,9 @@ from p3dk.errors import (
     IntegrityError,
     KeyFormatError,
     LengthError,
+    P3DKError,
     RangeError,
 )
-from p3dk.rng import seed_from_bytes
 
 
 def test_pad_block_all_zero_bits():
@@ -76,7 +79,7 @@ def test_expand_key_with_forced_zero_rotation():
 
 def test_expand_key_draws_from_seeded_rng():
     key = bytes([0x2A] * 31)
-    ek = expand_key(key, seed_from_bytes(key))
+    ek = expand_key_for(key)
     assert ek.rho == 444
     assert ek.sbox_rotation == 12
     assert ek.k93 == rotl_bits(cube.encode_block(key), 444)
@@ -297,3 +300,78 @@ def test_generate_master_key_shape():
     assert first[-1] & 0x1F == 0
     assert validate_master_key(first) == first
     assert first != second
+
+
+def _one_block_container(last_byte: int, key: bytes) -> bytes:
+    """A 240-bit header over one block whose 31st plaintext byte is last_byte."""
+    header = cipher.MAGIC + bytes([cipher.VERSION, 0]) + (240).to_bytes(8, "little")
+    return header + encrypt_block(bytes(30) + bytes([last_byte]), expand_key_for(key))
+
+
+@pytest.mark.parametrize("last_byte", (0x1F, 0x01, 0x20, 0xE0, 0xFF), ids=hex)
+def test_non_canonical_container_is_rejected(last_byte):
+    """Set pad bits (0x1f, 0x01) or data bits past the recorded length (0x20, 0xe0)."""
+    key = bytes([0x2A] * 31)
+    assert _one_block_container(0x00, key) == encrypt_stream(bytes(30), key)
+    with pytest.raises(IntegrityError, match=r"^block 0 \(container bytes 14-106\): "):
+        decrypt_stream(_one_block_container(last_byte, key), key)
+
+
+@st.composite
+def _mutated_containers(draw):
+    key = draw(st.binary(min_size=31, max_size=31))
+    # Seeded random bytes, not st.binary: its zero-heavy messages would make
+    # most shortened bit lengths canonical by accident.
+    message = random.Random(draw(st.integers(0, 2**32))).randbytes(draw(st.integers(0, 100)))
+    box = bytearray(encrypt_stream(message, key))
+    how = draw(st.sampled_from(("bitflip", "truncate", "extend", "header byte", "bit length")))
+    if how == "bitflip":
+        bit = draw(st.integers(0, 8 * len(box) - 1))
+        box[bit // 8] ^= 1 << (bit % 8)
+    elif how == "truncate":
+        del box[draw(st.integers(0, len(box) - 1)) :]
+    elif how == "extend":
+        box += draw(st.binary(min_size=1, max_size=2 * STATE_BYTES))
+    elif how == "header byte":
+        box[draw(st.integers(0, cipher.HEADER_BYTES - 1))] = draw(st.integers(0, 255))
+    else:
+        box[6:14] = (8 * draw(st.integers(0, len(message) + 40))).to_bytes(8, "little")
+    return key, bytes(box)
+
+
+@st.composite
+def _forged_containers(draw):
+    """A well-formed header over random blocks, so decoding is reached."""
+    key = draw(st.binary(min_size=31, max_size=31))
+    bit_len = 8 * draw(st.integers(0, 100))
+    nblocks = (bit_len + BLOCK_BITS - 1) // BLOCK_BITS
+    payload = draw(st.binary(min_size=nblocks * STATE_BYTES, max_size=nblocks * STATE_BYTES))
+    header = cipher.MAGIC + bytes([cipher.VERSION, 0]) + bit_len.to_bytes(8, "little")
+    return key, header + payload
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.tuples(st.binary(min_size=31, max_size=31), st.binary(max_size=300)),
+        _forged_containers(),
+        _mutated_containers(),
+    )
+)
+def test_decrypt_stream_rejects_or_round_trips(case):
+    """Any input either raises P3DKError or is the canonical container of what it returns."""
+    key, box = case
+    try:
+        plain = decrypt_stream(box, key)
+    except P3DKError:
+        return
+    assert encrypt_stream(plain, key) == box
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.binary(min_size=31, max_size=31), st.binary(min_size=31, max_size=31))
+def test_block_matches_oracle(key, block):
+    ek = expand_key_for(key)
+    c93 = encrypt_block(block, ek)
+    assert c93 == kat_oracle.encrypt_block(block, key)
+    assert decrypt_block(c93, ek) == block

@@ -1,5 +1,6 @@
 import os
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from p3dk import cipher
 from p3dk.cipher import CHUNK_BLOCKS, CHUNK_BYTES, HEADER_BYTES, STATE_BYTES, encrypt_stream
 from p3dk.cli import run
+from p3dk.errors import IntegrityError
 
 KEY = bytes(range(0, 60, 2)) + b"\x40"
 
@@ -228,16 +230,27 @@ def test_cli_container_matches_encrypt_stream_property(data):
 
 
 def _break(blob, how):
-    """A container made undecryptable: a flipped bit in its last chunk, cut short, or as is."""
+    """A container made undecryptable, or non-canonical, in its last chunk.
+
+    bitflip: one flipped bit in the first block of the last chunk.
+    pad_bits, past_length: the last block re-encrypted with a pad bit, or a
+    data bit past the recorded length, set.
+    truncated: one byte short.  wrong_key: as is.
+    """
     if how == "bitflip":
         blob = bytearray(blob)
         blob[HEADER_BYTES + 2 * CHUNK_BLOCKS * STATE_BYTES + 50] ^= 0x04
         return bytes(blob)
+    if how in ("pad_bits", "past_length"):
+        ek = cipher.expand_key_for(KEY)
+        last = bytearray(cipher.decrypt_block(blob[-STATE_BYTES:], ek))
+        last[-1] ^= 0x01 if how == "pad_bits" else 0x20
+        return blob[:-STATE_BYTES] + cipher.encrypt_block(bytes(last), ek)
     return blob[:-1] if how == "truncated" else blob
 
 
 @pytest.mark.parametrize("existing", (None, b"keep me"))
-@pytest.mark.parametrize("how", ("bitflip", "truncated", "wrong_key"))
+@pytest.mark.parametrize("how", ("bitflip", "pad_bits", "past_length", "truncated", "wrong_key"))
 def test_failed_decrypt_leaves_no_output(tmp_path, how, existing):
     key_path, boxed, opened = tmp_path / "key", tmp_path / "box", tmp_path / "back"
     data = random.Random(3).randbytes(2 * CHUNK_BYTES + 100)  # three chunks
@@ -252,6 +265,25 @@ def test_failed_decrypt_leaves_no_output(tmp_path, how, existing):
     assert sorted(p.name for p in tmp_path.iterdir()) == before
     if existing is not None:
         assert opened.read_bytes() == existing
+
+
+@pytest.mark.parametrize("how", ("bitflip", "past_length"))
+def test_errors_name_the_block_and_its_bytes(tmp_path, capsys, how):
+    """A failing block of a 3-chunk container is named, through the library and the CLI."""
+    data = random.Random(3).randbytes(2 * CHUNK_BYTES + 100)
+    box = _break(encrypt_stream(data, KEY), how)
+    last = (len(box) - HEADER_BYTES) // STATE_BYTES - 1
+    block = 2 * CHUNK_BLOCKS if how == "bitflip" else last
+    start = HEADER_BYTES + block * STATE_BYTES
+    where = f"block {block} (container bytes {start}-{start + STATE_BYTES - 1}): "
+    with pytest.raises(IntegrityError, match="^" + re.escape(where)):
+        cipher.decrypt_stream(box, KEY)
+    key_path, boxed = tmp_path / "key", tmp_path / "box"
+    key_path.write_bytes(KEY)
+    boxed.write_bytes(box)
+    capsys.readouterr()
+    assert crypt("decrypt", key_path, boxed, tmp_path / "back") == 3
+    assert f"format error: {where}" in capsys.readouterr().err
 
 
 def test_cli_memory_does_not_grow_with_file_size(tmp_path, monkeypatch):
