@@ -15,7 +15,7 @@ import gc
 import random
 import statistics
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import cube
 from .cipher import (
@@ -39,6 +39,8 @@ CONTENT_SEED = 0x9D3B
 REF_FILESIZE_S = {20: 28, 35: 58, 155: 261, 333: 468, 512: 501}
 REF_ROTATIONS_MS = {n: round(0.003 * n, 3) for n in range(17)}
 REF_SBOXGEN_MS = {3: 0.0003, 9: 0.0057, 81: 0.0285, 243: 0.057}
+FILESIZE_KEY = bytes([0x5A] * (KEY_BYTES - 1) + [0x40])
+WARMUP = 1  # untimed calls of each timed fn before its first trial
 # Timed passes per sample, and how many of the fastest a sample keeps, for
 # the rotation and set-up sweeps (see _side_by_side_medians).  Neighbouring
 # rows differ by one ~1 ms unit rotation, or by about 1 us of set-up, so a
@@ -58,7 +60,7 @@ class BenchReport:
     experiment: str
     unit: str
     rows: list[tuple[str, float]]
-    metadata: dict[str, str] = field(default_factory=dict)
+    metadata: dict[str, str]
 
 
 def _now_utc() -> str:
@@ -78,23 +80,14 @@ def _gc_paused():
             gc.enable()
 
 
-def _timed_sample(fn, inner: int = 1) -> float:
+def _timed_sample(fn, inner: int) -> float:
     t0 = time.perf_counter()
     for _ in range(inner):
         fn()
     return (time.perf_counter() - t0) / inner
 
 
-def _median_seconds(fn, trials: int, warmup: int) -> float:
-    """Median wall time of fn over trials."""
-    with _gc_paused():
-        for _ in range(warmup):
-            fn()
-        samples = [_timed_sample(fn) for _ in range(trials)]
-    return statistics.median(samples)
-
-
-def _side_by_side_medians(fns, trials: int, warmup: int, batch: int, passes: int, kept: int):
+def _side_by_side_medians(fns, trials: int, batch: int, passes: int, kept: int):
     """Median seconds per call of each of fns, all timed side by side.
 
     A trial makes `passes` passes over fns, in alternating directions, and
@@ -107,7 +100,7 @@ def _side_by_side_medians(fns, trials: int, warmup: int, batch: int, passes: int
     """
     samples = [[] for _ in fns]
     with _gc_paused():
-        for _ in range(warmup):
+        for _ in range(WARMUP):
             for fn in fns:
                 fn()
         for _ in range(trials):
@@ -120,44 +113,40 @@ def _side_by_side_medians(fns, trials: int, warmup: int, batch: int, passes: int
     return [statistics.median(sample) for sample in samples]
 
 
-def bench_filesize(
-    sizes_kb=DEFAULT_SIZES_KB,
-    key: bytes | None = None,
-    trials: int = DEFAULT_TRIALS,
-    warmup: int = 1,
-) -> BenchReport:
-    """Median encrypt_stream wall time for each synthetic file size."""
+def _report(experiment: str, unit: str, rows, trials: int, **extra) -> BenchReport:
+    """A report whose metadata is timestamp, trials and warmup, then extra."""
+    metadata = {"timestamp": _now_utc(), "trials": str(trials), "warmup": str(WARMUP)}
+    metadata.update((key, str(value)) for key, value in extra.items())
+    return BenchReport(experiment, unit, rows, metadata)
+
+
+def bench_filesize(sizes_kb=DEFAULT_SIZES_KB, trials: int = DEFAULT_TRIALS) -> BenchReport:
+    """Median encrypt_stream wall time for each synthetic file size.
+
+    All sizes are timed side by side, one call each per trial.
+    """
     sizes = sorted(sizes_kb)
     if not sizes:
         raise UsageError("size list must not be empty")
     if any(s <= 0 for s in sizes):
         raise UsageError(f"sizes must be positive, got {sizes}")
-    if key is None:
-        key = bytes([0x5A] * (KEY_BYTES - 1) + [0x40])
     gen = random.Random(CONTENT_SEED)
-    rows = []
-    for size in sizes:
-        data = gen.randbytes(size * 1024)
-        seconds = _median_seconds(
-            lambda: encrypt_stream(data, key), trials, warmup
-        )
-        rows.append((str(size), seconds))
-    report = BenchReport("filesize", "s", rows)
-    report.metadata = {
-        "timestamp": _now_utc(),
-        "trials": str(trials),
-        "warmup": str(warmup),
-        "iterations": "1",
-        "sizes_kb": ",".join(str(s) for s in sizes),
-        "content_seed": str(CONTENT_SEED),
-        "ref_hardware_s": _ref_series(REF_FILESIZE_S),
-    }
-    return report
+    files = [gen.randbytes(size * 1024) for size in sizes]
+    medians = _side_by_side_medians(
+        [lambda data=data: encrypt_stream(data, FILESIZE_KEY) for data in files],
+        trials, batch=1, passes=1, kept=1,
+    )
+    rows = [(str(s), seconds) for s, seconds in zip(sizes, medians)]
+    return _report(
+        "filesize", "s", rows, trials,
+        iterations=1,
+        sizes_kb=",".join(str(s) for s in sizes),
+        content_seed=CONTENT_SEED,
+        ref_hardware_s=_ref_series(REF_FILESIZE_S),
+    )
 
 
-def bench_rotations(
-    max_count: int = 16, trials: int = DEFAULT_TRIALS, warmup: int = 1
-) -> BenchReport:
+def bench_rotations(max_count: int = 16, trials: int = DEFAULT_TRIALS) -> BenchReport:
     """Median rotate() time for 0..max_count unit table rotations.
 
     All counts are timed side by side, one call each per pass, so slow clock
@@ -170,18 +159,15 @@ def bench_rotations(
     counts = range(max_count + 1)
     medians = _side_by_side_medians(
         [lambda n=n: rotate(box, n) for n in counts],
-        trials, warmup, 1, ROTATION_PASSES, ROTATION_KEPT,
+        trials, 1, ROTATION_PASSES, ROTATION_KEPT,
     )
     rows = [(str(n), seconds * 1e3) for n, seconds in zip(counts, medians)]
-    report = BenchReport("rotations", "ms", rows)
-    report.metadata = {
-        "timestamp": _now_utc(),
-        "trials": str(trials),
-        "warmup": str(warmup),
-        "iterations": str(ROTATION_PASSES),
-        "iterations_kept": str(ROTATION_KEPT),
-        "ref_hardware_ms": _ref_series(REF_ROTATIONS_MS),
-    }
+    report = _report(
+        "rotations", "ms", rows, trials,
+        iterations=ROTATION_PASSES,
+        iterations_kept=ROTATION_KEPT,
+        ref_hardware_ms=_ref_series(REF_ROTATIONS_MS),
+    )
     if len(rows) >= 2:
         xs = [float(label) for label, _ in rows]
         ys = [value for _, value in rows]
@@ -200,9 +186,7 @@ def _setup_message(length_bits: int, payload: int) -> None:
     build_sbox(next_below(rng, 16))
 
 
-def bench_sboxgen(
-    bit_lengths=DEFAULT_BIT_LENGTHS, trials: int = DEFAULT_TRIALS, warmup: int = 1
-) -> BenchReport:
+def bench_sboxgen(bit_lengths=DEFAULT_BIT_LENGTHS, trials: int = DEFAULT_TRIALS) -> BenchReport:
     """Median per-message setup time for each input bit length.
 
     Lengths are powers of three up to 243.  The sixteen substitution tables
@@ -221,34 +205,28 @@ def bench_sboxgen(
     payloads = [gen.getrandbits(n) for n in lengths]
     medians = _side_by_side_medians(
         [lambda n=n, p=p: _setup_message(n, p) for n, p in zip(lengths, payloads)],
-        trials, warmup, SBOXGEN_BATCH, SBOXGEN_PASSES, SBOXGEN_KEPT,
+        trials, SBOXGEN_BATCH, SBOXGEN_PASSES, SBOXGEN_KEPT,
     )
     rows = [(str(n), seconds * 1e3) for n, seconds in zip(lengths, medians)]
-    report = BenchReport("sboxgen", "ms", rows)
-    report.metadata = {
-        "timestamp": _now_utc(),
-        "trials": str(trials),
-        "warmup": str(warmup),
-        "iterations": str(SBOXGEN_BATCH * SBOXGEN_PASSES),
-        "iterations_kept": str(SBOXGEN_BATCH * SBOXGEN_KEPT),
-        "ref_hardware_ms": _ref_series(REF_SBOXGEN_MS),
-    }
-    return report
+    return _report(
+        "sboxgen", "ms", rows, trials,
+        iterations=SBOXGEN_BATCH * SBOXGEN_PASSES,
+        iterations_kept=SBOXGEN_BATCH * SBOXGEN_KEPT,
+        ref_hardware_ms=_ref_series(REF_SBOXGEN_MS),
+    )
 
 
-def avalanche(
-    key_count: int = 10, flips_per_key: int = 100, seed: int = CONTENT_SEED
-) -> BenchReport:
+def avalanche(key_count: int = 10, flips_per_key: int = 100) -> BenchReport:
     """Fraction of ciphertext bits flipped by single plaintext-bit flips.
 
     For key_count random keys and flips_per_key random (plaintext, bit)
     pairs each, encrypts the block before and after the flip and reports
     the mean and standard deviation of the flipped-bit fraction over the
-    744 ciphertext bits.
+    744 ciphertext bits.  The draws come from CONTENT_SEED, so runs repeat.
     """
-    if key_count < 1 or flips_per_key < 1:
-        raise UsageError("key_count and flips_per_key must be >= 1")
-    gen = random.Random(seed)
+    if key_count < 1 or flips_per_key < 1 or key_count * flips_per_key < 2:
+        raise UsageError("key_count and flips_per_key must be >= 1, with at least 2 flips")
+    gen = random.Random(CONTENT_SEED)
     fractions = []
     for _ in range(key_count):
         kb = bytearray(gen.randbytes(KEY_BYTES))
@@ -263,25 +241,19 @@ def avalanche(
                 int.from_bytes(c1, "big") ^ int.from_bytes(c2, "big")
             ).bit_count()
             fractions.append(changed / STATE_BITS)
-    report = BenchReport(
-        "avalanche",
-        "fraction",
-        [
-            ("mean_flip_fraction", statistics.fmean(fractions)),
-            ("stdev_flip_fraction", statistics.stdev(fractions)),
-        ],
+    rows = [
+        ("mean_flip_fraction", statistics.fmean(fractions)),
+        ("stdev_flip_fraction", statistics.stdev(fractions)),
+    ]
+    return _report(
+        "avalanche", "fraction", rows, len(fractions),
+        warmup=0,
+        iterations=1,
+        keys=key_count,
+        flips_per_key=flips_per_key,
+        seed=CONTENT_SEED,
+        ciphertext_bits=STATE_BITS,
     )
-    report.metadata = {
-        "timestamp": _now_utc(),
-        "trials": str(len(fractions)),
-        "warmup": "0",
-        "iterations": "1",
-        "keys": str(key_count),
-        "flips_per_key": str(flips_per_key),
-        "seed": str(seed),
-        "ciphertext_bits": str(STATE_BITS),
-    }
-    return report
 
 
 def _ref_series(series: dict) -> str:
@@ -336,9 +308,9 @@ def read_csv(path: str) -> BenchReport:
     return BenchReport(experiment, unit, rows, metadata)
 
 
-def emit_svg(report: BenchReport, path: str, width: int = 640, height: int = 400) -> None:
+def emit_svg(report: BenchReport, path: str) -> None:
     """Render the rows as a single-polyline SVG chart with axis labels."""
-    margin = 60
+    width, height, margin = 640, 400, 60
     xs = []
     for label, _ in report.rows:
         try:

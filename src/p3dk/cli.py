@@ -55,18 +55,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("keygen", help="write a fresh 31-byte key file")
     p.add_argument("--out", required=True, help="key file path")
+    p.set_defaults(handler=_cmd_keygen)
 
     p = sub.add_parser("encrypt", help="encrypt a file into a container")
     p.add_argument("--key", required=True, help="31-byte key file")
     p.add_argument("--in", dest="infile", required=True, help="plaintext path")
     p.add_argument("--out", required=True, help="container path")
+    p.set_defaults(handler=_cmd_crypt)
 
     p = sub.add_parser("decrypt", help="decrypt a container back to a file")
     p.add_argument("--key", required=True, help="31-byte key file")
     p.add_argument("--in", dest="infile", required=True, help="container path")
     p.add_argument("--out", required=True, help="plaintext path")
+    p.set_defaults(handler=_cmd_crypt)
 
     p = sub.add_parser("bench", help="run a timing experiment")
+    p.set_defaults(handler=_cmd_bench)
     bench_sub = p.add_subparsers(dest="experiment", required=True)
 
     b = bench_sub.add_parser("filesize", help="encryption time vs file size")
@@ -74,27 +78,37 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--trials", type=int, default=bench_mod.DEFAULT_TRIALS)
     b.add_argument("--out", required=True, help="CSV path")
     b.add_argument("--svg", help="optional SVG chart path")
+    b.set_defaults(measure=lambda a: bench_mod.bench_filesize(
+        _parse_int_list(a.sizes, bench_mod.DEFAULT_SIZES_KB), trials=a.trials
+    ))
 
     b = bench_sub.add_parser("rotations", help="table time vs rotation count")
     b.add_argument("--max-count", type=int, default=16)
     b.add_argument("--trials", type=int, default=bench_mod.DEFAULT_TRIALS)
     b.add_argument("--out", required=True, help="CSV path")
     b.add_argument("--svg", help="optional SVG chart path")
+    b.set_defaults(measure=lambda a: bench_mod.bench_rotations(a.max_count, trials=a.trials))
 
     b = bench_sub.add_parser("sboxgen", help="setup time vs input bit length")
     b.add_argument("--sizes", help="comma-separated bit lengths")
     b.add_argument("--trials", type=int, default=bench_mod.DEFAULT_TRIALS)
     b.add_argument("--out", required=True, help="CSV path")
     b.add_argument("--svg", help="optional SVG chart path")
+    b.set_defaults(measure=lambda a: bench_mod.bench_sboxgen(
+        _parse_int_list(a.sizes, bench_mod.DEFAULT_BIT_LENGTHS), trials=a.trials
+    ))
 
     p = sub.add_parser("avalanche", help="plaintext-flip diffusion statistic")
     p.add_argument("--trials", type=int, required=True, help="total bit flips")
     p.add_argument("--out", required=True, help="CSV path")
+    p.set_defaults(handler=_cmd_avalanche)
 
-    sub.add_parser("dump-cube", help="print the symbol cube, one cell per line")
+    p = sub.add_parser("dump-cube", help="print the symbol cube, one cell per line")
+    p.set_defaults(handler=lambda args: _print(dump_cube(build_cube())))
 
     p = sub.add_parser("dump-sbox", help="print a substitution table")
     p.add_argument("--rotation", type=int, required=True, help="rotation in [0, 15]")
+    p.set_defaults(handler=lambda args: _print(dump_sbox(build_sbox(args.rotation))))
 
     return parser
 
@@ -104,15 +118,23 @@ def _load_key(path: str) -> bytes:
         return validate_master_key(fh.read())
 
 
-def _parse_int_list(text: str) -> list[int]:
+def _parse_int_list(text: str | None, default) -> list[int]:
+    """The integers in a comma-separated flag value, or default if it is unset or empty."""
+    if not text:
+        return default
     try:
         return [int(part) for part in text.split(",") if part.strip()]
     except ValueError:
         raise UsageError(f"expected comma-separated integers, got {text!r}") from None
 
 
+def _print(text: str) -> int:
+    sys.stdout.write(text)
+    return 0
+
+
 def _cmd_keygen(args) -> int:
-    with open(args.out, "wb") as fh:
+    with open(args.out, "xb") as fh:
         fh.write(generate_master_key())
     print(f"wrote key to {args.out}")
     return 0
@@ -132,11 +154,12 @@ def _replacing(path: str):
         raise
 
 
-def _cmd_crypt(args, encrypting: bool) -> int:
-    if os.path.realpath(args.infile) == os.path.realpath(args.out):
-        raise UsageError("--in and --out must differ; refusing to overwrite input")
+def _cmd_crypt(args) -> int:
+    if os.path.realpath(args.out) in (os.path.realpath(args.infile), os.path.realpath(args.key)):
+        raise UsageError("--out must differ from --in and --key; refusing to overwrite them")
     key = _load_key(args.key)
-    crypt = encrypt_stream if encrypting else decrypt_stream
+    # Looked up when called, so a wrapper installed on this module is used.
+    crypt = encrypt_stream if args.command == "encrypt" else decrypt_stream
     with open(args.infile, "rb") as src, _replacing(args.out) as dst:
         written = crypt(src, key, dst)
     print(f"wrote {written} bytes to {args.out}")
@@ -146,16 +169,7 @@ def _cmd_crypt(args, encrypting: bool) -> int:
 def _cmd_bench(args) -> int:
     if args.trials < 1:
         raise UsageError(f"--trials must be >= 1, got {args.trials}")
-    if args.experiment == "filesize":
-        sizes = _parse_int_list(args.sizes) if args.sizes else bench_mod.DEFAULT_SIZES_KB
-        report = bench_mod.bench_filesize(sizes, trials=args.trials)
-    elif args.experiment == "rotations":
-        report = bench_mod.bench_rotations(args.max_count, trials=args.trials)
-    else:
-        lengths = (
-            _parse_int_list(args.sizes) if args.sizes else bench_mod.DEFAULT_BIT_LENGTHS
-        )
-        report = bench_mod.bench_sboxgen(lengths, trials=args.trials)
+    report = args.measure(args)
     bench_mod.emit_csv(report, args.out)
     written = args.out
     if args.svg:
@@ -166,8 +180,8 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_avalanche(args) -> int:
-    if args.trials < 1:
-        raise UsageError(f"--trials must be >= 1, got {args.trials}")
+    if args.trials < 2:
+        raise UsageError(f"--trials must be >= 2, got {args.trials}")
     keys = max(1, args.trials // 100)
     flips = math.ceil(args.trials / keys)
     report = bench_mod.avalanche(keys, flips)
@@ -184,21 +198,7 @@ def _cmd_avalanche(args) -> int:
 def run(argv) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if args.command == "keygen":
-            return _cmd_keygen(args)
-        if args.command == "encrypt":
-            return _cmd_crypt(args, encrypting=True)
-        if args.command == "decrypt":
-            return _cmd_crypt(args, encrypting=False)
-        if args.command == "bench":
-            return _cmd_bench(args)
-        if args.command == "avalanche":
-            return _cmd_avalanche(args)
-        if args.command == "dump-cube":
-            sys.stdout.write(dump_cube(build_cube()))
-            return 0
-        sys.stdout.write(dump_sbox(build_sbox(args.rotation)))
-        return 0
+        return args.handler(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return _EXIT_USAGE

@@ -8,7 +8,6 @@ every verdict line including the measured values.
 import random
 import time
 
-import numpy as np
 import pytest
 
 import kat_oracle
@@ -103,17 +102,20 @@ def test_criterion_04_stream_round_trip():
 
 
 def test_criterion_05_layer_inverses():
-    values = np.arange(1 << 24, dtype=np.uint32)
-    tail_pad = (-len(values)) % 31
-    rows = []
-    for shift in (16, 8, 0):
-        row = ((values >> shift) & 0xFF).astype(np.uint8)
-        rows.append(
-            np.concatenate([row, np.zeros(tail_pad, np.uint8)]).reshape(-1, 31)
+    # Column i of the three rows holds the high, middle and low byte of i,
+    # for every i below 2^24, zero-padded to whole 31-byte rows.
+    tail_pad = (-(1 << 24)) % 31
+    u, v, w = (
+        row + bytes(tail_pad)
+        for row in (
+            b"".join(bytes([x]) * 65536 for x in range(256)),
+            b"".join(bytes([x]) * 256 for x in range(256)) * 256,
+            bytes(range(256)) * 65536,
         )
+    )
     mix_failures = 0
-    for u, v, w in zip(*rows):
-        state = u.tobytes() + v.tobytes() + w.tobytes()
+    for i in range(0, len(u), 31):
+        state = u[i : i + 31] + v[i : i + 31] + w[i : i + 31]
         if cipher.inv_mix_columns(cipher.mix_columns(state)) != state:
             mix_failures += 1
     gen = random.Random(0xACC5)

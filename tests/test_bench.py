@@ -72,7 +72,7 @@ def test_avalanche_statistics():
 
 
 def test_avalanche_deterministic_for_fixed_seed():
-    assert avalanche(1, 25, seed=99).rows == avalanche(1, 25, seed=99).rows
+    assert avalanche(1, 25).rows == avalanche(1, 25).rows
 
 
 def test_avalanche_rejects_zero_trials():
@@ -80,6 +80,12 @@ def test_avalanche_rejects_zero_trials():
         avalanche(0, 10)
     with pytest.raises(UsageError):
         avalanche(10, 0)
+
+
+def test_avalanche_needs_two_flips():
+    with pytest.raises(UsageError):
+        avalanche(1, 1)
+    assert avalanche(1, 2).metadata["trials"] == "2"
 
 
 def test_csv_round_trip(tmp_path):

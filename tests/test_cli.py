@@ -54,6 +54,25 @@ def test_encrypt_refuses_in_place(tmp_path):
     assert plain.read_bytes() == b"do not clobber me"
 
 
+@pytest.mark.parametrize("verb", ("encrypt", "decrypt"))
+def test_crypt_refuses_to_overwrite_the_key(tmp_path, capsys, verb):
+    key_path, plain = tmp_path / "key", tmp_path / "plain"
+    key_path.write_bytes(KEY)
+    plain.write_bytes(encrypt_stream(b"x", KEY) if verb == "decrypt" else b"x")
+    assert crypt(verb, key_path, plain, key_path) == 1
+    assert "usage error" in capsys.readouterr().err
+    assert key_path.read_bytes() == KEY
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["key", "plain"]
+
+
+def test_keygen_refuses_an_existing_file(tmp_path, capsys):
+    key_path = tmp_path / "key"
+    key_path.write_bytes(KEY)
+    assert run(["keygen", "--out", str(key_path)]) == 2
+    assert "i/o error" in capsys.readouterr().err
+    assert key_path.read_bytes() == KEY
+
+
 def test_missing_flag_is_usage_error(capsys):
     assert run(["encrypt", "--key", "k"]) == 1
     assert "usage error" in capsys.readouterr().err
@@ -169,6 +188,12 @@ def test_avalanche_subcommand(tmp_path, capsys):
     assert "mean=" in out
     assert "stdev=" in out
     assert csv_path.exists()
+
+
+def test_avalanche_needs_two_flips(tmp_path, capsys):
+    assert run(["avalanche", "--trials", "1", "--out", str(tmp_path / "a.csv")]) == 1
+    assert "usage error" in capsys.readouterr().err
+    assert not (tmp_path / "a.csv").exists()
 
 
 def test_dump_cube_output(capsys):
