@@ -15,7 +15,6 @@ import gc
 import random
 import statistics
 import time
-from dataclasses import dataclass
 
 from . import cube
 from .cipher import (
@@ -53,14 +52,16 @@ SBOXGEN_PASSES = 8
 SBOXGEN_KEPT = 6
 
 
-@dataclass
 class BenchReport:
     """One experiment's rows plus the context needed to rerun it."""
 
-    experiment: str
-    unit: str
-    rows: list[tuple[str, float]]
-    metadata: dict[str, str]
+    __slots__ = ("experiment", "unit", "rows", "metadata")
+
+    def __init__(self, experiment: str, unit: str, rows: list[tuple[str, float]], metadata: dict):
+        self.experiment = experiment
+        self.unit = unit
+        self.rows = rows
+        self.metadata = metadata
 
 
 def _now_utc() -> str:
@@ -98,6 +99,8 @@ def _side_by_side_medians(fns, trials: int, batch: int, passes: int, kept: int):
     them alike, where timing one fn after another would move only the fns
     timed before the change.
     """
+    if trials < 1:
+        raise UsageError(f"--trials must be >= 1, got {trials}")
     samples = [[] for _ in fns]
     with _gc_paused():
         for _ in range(WARMUP):

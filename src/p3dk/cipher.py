@@ -27,14 +27,12 @@ claims (see README).
 
 import io
 import os
-import secrets
-from dataclasses import dataclass, field
 from typing import BinaryIO
 
 from . import cube
 from .errors import FormatError, IntegrityError, KeyFormatError, LengthError, RangeError
 from .rng import next_below, seed_from_bytes
-from .sbox import SBox3D, build_sbox, inv_sub_state, sub_state
+from .sbox import build_sbox, inv_sub_state, sub_state
 
 BLOCK_BITS = 243
 KEY_BYTES = cube.BLOCK_BYTES
@@ -101,20 +99,18 @@ def rotl_bits(state: bytes, count: int) -> bytes:
     return x.to_bytes(STATE_BYTES, "big")
 
 
-@dataclass
 class ExpandedKey:
     """Expanded key material plus the keyed rotation draws."""
 
-    k93: bytes
-    rho: int
-    sbox_rotation: int
-    round_keys: tuple[bytes, ...]
-    _rk_ints: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _sbox: SBox3D = field(init=False, repr=False, compare=False)
+    __slots__ = ("k93", "rho", "sbox_rotation", "round_keys", "_rk_ints", "_sbox")
 
-    def __post_init__(self):
-        self._rk_ints = tuple(int.from_bytes(k, "big") for k in self.round_keys)
-        self._sbox = build_sbox(self.sbox_rotation)
+    def __init__(self, k93: bytes, rho: int, sbox_rotation: int, round_keys: tuple[bytes, ...]):
+        self.k93 = k93
+        self.rho = rho
+        self.sbox_rotation = sbox_rotation
+        self.round_keys = round_keys
+        self._rk_ints = tuple(int.from_bytes(k, "big") for k in round_keys)
+        self._sbox = build_sbox(sbox_rotation)
 
 
 def expand_key_with(master: bytes, rho: int, sbox_rotation: int) -> ExpandedKey:
@@ -325,7 +321,7 @@ def decrypt_stream(
 
 def generate_master_key() -> bytes:
     """Fresh 31-byte key from system entropy, tail bits zeroed."""
-    kb = bytearray(secrets.token_bytes(KEY_BYTES))
+    kb = bytearray(os.urandom(KEY_BYTES))
     kb[-1] &= 0xFF ^ _PAD_MASK
     return bytes(kb)
 

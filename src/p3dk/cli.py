@@ -13,10 +13,8 @@ import argparse
 import contextlib
 import math
 import os
-import secrets
 import sys
 
-from . import bench as bench_mod
 from .cipher import (
     decrypt_stream,
     encrypt_stream,
@@ -75,27 +73,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     b = bench_sub.add_parser("filesize", help="encryption time vs file size")
     b.add_argument("--sizes", help="comma-separated sizes in KB")
-    b.add_argument("--trials", type=int, default=bench_mod.DEFAULT_TRIALS)
+    b.add_argument("--trials", type=int)
     b.add_argument("--out", required=True, help="CSV path")
     b.add_argument("--svg", help="optional SVG chart path")
-    b.set_defaults(measure=lambda a: bench_mod.bench_filesize(
-        _parse_int_list(a.sizes, bench_mod.DEFAULT_SIZES_KB), trials=a.trials
+    b.set_defaults(measure=lambda bench, a: bench.bench_filesize(
+        _parse_int_list(a.sizes, bench.DEFAULT_SIZES_KB), trials=a.trials
     ))
 
     b = bench_sub.add_parser("rotations", help="table time vs rotation count")
     b.add_argument("--max-count", type=int, default=16)
-    b.add_argument("--trials", type=int, default=bench_mod.DEFAULT_TRIALS)
+    b.add_argument("--trials", type=int)
     b.add_argument("--out", required=True, help="CSV path")
     b.add_argument("--svg", help="optional SVG chart path")
-    b.set_defaults(measure=lambda a: bench_mod.bench_rotations(a.max_count, trials=a.trials))
+    b.set_defaults(measure=lambda bench, a: bench.bench_rotations(a.max_count, trials=a.trials))
 
     b = bench_sub.add_parser("sboxgen", help="setup time vs input bit length")
     b.add_argument("--sizes", help="comma-separated bit lengths")
-    b.add_argument("--trials", type=int, default=bench_mod.DEFAULT_TRIALS)
+    b.add_argument("--trials", type=int)
     b.add_argument("--out", required=True, help="CSV path")
     b.add_argument("--svg", help="optional SVG chart path")
-    b.set_defaults(measure=lambda a: bench_mod.bench_sboxgen(
-        _parse_int_list(a.sizes, bench_mod.DEFAULT_BIT_LENGTHS), trials=a.trials
+    b.set_defaults(measure=lambda bench, a: bench.bench_sboxgen(
+        _parse_int_list(a.sizes, bench.DEFAULT_BIT_LENGTHS), trials=a.trials
     ))
 
     p = sub.add_parser("avalanche", help="plaintext-flip diffusion statistic")
@@ -143,7 +141,7 @@ def _cmd_keygen(args) -> int:
 @contextlib.contextmanager
 def _replacing(path: str):
     """Yield a new binary file beside path that replaces path only if the block succeeds."""
-    tmp = f"{path}.{secrets.token_hex(4)}.tmp"
+    tmp = f"{path}.{os.urandom(4).hex()}.tmp"
     fh = open(tmp, "xb")
     try:
         with fh:
@@ -167,25 +165,31 @@ def _cmd_crypt(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    if args.trials < 1:
-        raise UsageError(f"--trials must be >= 1, got {args.trials}")
-    report = args.measure(args)
-    bench_mod.emit_csv(report, args.out)
+    # Imported here, not at the top, so encrypt and decrypt start without it
+    # (bench loads statistics and random).
+    from . import bench
+
+    if args.trials is None:
+        args.trials = bench.DEFAULT_TRIALS
+    report = args.measure(bench, args)
+    bench.emit_csv(report, args.out)
     written = args.out
     if args.svg:
-        bench_mod.emit_svg(report, args.svg)
+        bench.emit_svg(report, args.svg)
         written += f" and {args.svg}"
     print(f"{report.experiment}: {len(report.rows)} rows, wrote {written}")
     return 0
 
 
 def _cmd_avalanche(args) -> int:
+    from . import bench
+
     if args.trials < 2:
         raise UsageError(f"--trials must be >= 2, got {args.trials}")
     keys = max(1, args.trials // 100)
     flips = math.ceil(args.trials / keys)
-    report = bench_mod.avalanche(keys, flips)
-    bench_mod.emit_csv(report, args.out)
+    report = bench.avalanche(keys, flips)
+    bench.emit_csv(report, args.out)
     stats = dict(report.rows)
     print(
         f"avalanche over {report.metadata['trials']} flips: "

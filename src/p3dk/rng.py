@@ -10,8 +10,6 @@ can re-derive them.  Draw order is part of the cipher contract:
 Not a CSPRNG; it is a deterministic schedule generator.
 """
 
-from dataclasses import dataclass
-
 from .errors import RangeError, SeedError
 
 _MASK64 = (1 << 64) - 1
@@ -19,11 +17,13 @@ FNV_OFFSET = 0xCBF29CE484222325
 FNV_PRIME = 0x00000100000001B3
 
 
-@dataclass
 class RngState:
     """64-bit xorshift state; never zero once seeded."""
 
-    s: int
+    __slots__ = ("s",)
+
+    def __init__(self, s: int):
+        self.s = s
 
 
 def seed_from_bytes(key_bytes: bytes) -> RngState:

@@ -12,7 +12,7 @@ of each holding its own copies.  rotate() deliberately performs one full
 table pass per unit so its cost grows linearly with the rotation count.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cube import ENCODED_BYTES
 from .errors import LengthError, RangeError
@@ -24,8 +24,7 @@ _VALUES = tuple(range(TRIPLE_COUNT))
 _TABLE_CACHE: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
 
 
-@dataclass(frozen=True)
-class SBox3D:
+class SBox3D(NamedTuple):
     """Bijection on nibble triples; forward/inverse are 4096-entry tables."""
 
     rotation: int

@@ -63,6 +63,20 @@ def test_sboxgen_rows_and_validation():
         bench_sboxgen([5])
 
 
+@pytest.mark.parametrize(
+    "measure",
+    [
+        lambda: bench_filesize([1], trials=0),
+        lambda: bench_rotations(1, trials=0),
+        lambda: bench_sboxgen([3], trials=0),
+    ],
+    ids=["filesize", "rotations", "sboxgen"],
+)
+def test_experiments_reject_zero_trials(measure):
+    with pytest.raises(UsageError, match=r"--trials must be >= 1, got 0"):
+        measure()
+
+
 def test_avalanche_statistics():
     report = avalanche(1, 30)
     stats = dict(report.rows)

@@ -176,9 +176,10 @@ def test_bench_sboxgen_rejects_bad_lengths(tmp_path, capsys):
     assert "usage error" in capsys.readouterr().err
 
 
-def test_bench_rejects_zero_trials(tmp_path):
+def test_bench_rejects_zero_trials(tmp_path, capsys):
     code = run(["bench", "rotations", "--trials", "0", "--out", str(tmp_path / "r.csv")])
     assert code == 1
+    assert "usage error: --trials must be >= 1, got 0" in capsys.readouterr().err
 
 
 def test_avalanche_subcommand(tmp_path, capsys):
@@ -222,6 +223,22 @@ def test_console_entry_point_help():
     assert proc.returncode == 0
     assert "keygen" in proc.stdout
     assert "dump-sbox" in proc.stdout
+
+
+def test_import_loads_no_unused_modules():
+    """`import p3dk, p3dk.cli` leaves the heavy modules encryption does not need unloaded.
+
+    -S keeps site .pth files from adding their own imports to the result.
+    """
+    heavy = ["dataclasses", "inspect", "secrets", "hmac", "hashlib", "statistics", "random", "p3dk.bench"]
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        f"import sys; sys.path.insert(0, {str(src)!r}); import p3dk, p3dk.cli; "
+        f"print([m for m in {heavy!r} if m in sys.modules])"
+    )
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def crypt(verb, key_path, src, dst):

@@ -60,6 +60,11 @@ def test_rotate_matches_direct_construction():
         assert rotate(base, n) == build_sbox(n % 16)
 
 
+def test_sbox_is_immutable():
+    with pytest.raises(AttributeError):
+        build_sbox(0).forward = ()
+
+
 def test_rotate_composes():
     box = build_sbox(3)
     assert rotate(rotate(box, 4), 5) == rotate(box, 9)
