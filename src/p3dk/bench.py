@@ -28,7 +28,7 @@ from .cipher import (
 )
 from .errors import IoError, UsageError
 from .rng import next_below, seed_from_bytes
-from .sbox import build_sbox, rotate
+from .sbox import ROTATIONS, build_sbox, rotate
 
 DEFAULT_SIZES_KB = (20, 35, 155, 333, 512)
 DEFAULT_BIT_LENGTHS = (3, 9, 27, 81, 243)
@@ -186,7 +186,7 @@ def _setup_message(length_bits: int, payload: int) -> None:
     nbytes = (length_bits + 7) // 8
     data = (payload << (8 * nbytes - length_bits)).to_bytes(nbytes, "big")
     rng = seed_from_bytes(cube.encode_bytes(data))
-    build_sbox(next_below(rng, 16))
+    build_sbox(next_below(rng, ROTATIONS))
 
 
 def bench_sboxgen(bit_lengths=DEFAULT_BIT_LENGTHS, trials: int = DEFAULT_TRIALS) -> BenchReport:
@@ -202,7 +202,7 @@ def bench_sboxgen(bit_lengths=DEFAULT_BIT_LENGTHS, trials: int = DEFAULT_TRIALS)
         raise UsageError("bit length list must not be empty")
     if any(n not in DEFAULT_BIT_LENGTHS for n in lengths):
         raise UsageError(f"bit lengths must be from {DEFAULT_BIT_LENGTHS}")
-    for r in range(16):
+    for r in range(ROTATIONS):
         build_sbox(r)
     gen = random.Random(CONTENT_SEED)
     payloads = [gen.getrandbits(n) for n in lengths]

@@ -6,11 +6,11 @@ byte index 31r + j), and the state is whitened with round key 0.  Rounds
 1..16 then apply the triple substitution, a row shift, a column mix on even
 rounds only, and a round-key XOR.
 
-Key schedule: the 31 master key bytes are cube-expanded to 93 bytes and
-bit-rotated left by rho; round key r is that value bit-rotated left by
-47*r mod 744 (47 is coprime to 744, so all 17 round keys differ).  rho and
-the S-box rotation are draws 1 and 2 from the keyed generator seeded with
-the master key bytes.
+Key schedule: the 31 master key bytes are cube-expanded to 93 bytes, read
+as one 744-bit integer and bit-rotated left by rho; round key r is that
+integer bit-rotated left by 47*r mod 744 (47 is coprime to 744, so all 17
+round keys differ).  rho and the S-box rotation are draws 1 and 2 from the
+keyed generator seeded with the master key bytes.
 
 Blocks are independent (codebook mode) and the container records the true
 plaintext bit length:
@@ -32,7 +32,7 @@ from typing import BinaryIO
 from . import cube
 from .errors import FormatError, IntegrityError, KeyFormatError, LengthError, RangeError
 from .rng import next_below, seed_from_bytes
-from .sbox import build_sbox, inv_sub_state, sub_state
+from .sbox import ROTATIONS, build_sbox, inv_sub_state, sub_state
 
 BLOCK_BITS = 243
 KEY_BYTES = cube.BLOCK_BYTES
@@ -89,47 +89,48 @@ def unpad_block(block: bytes) -> int:
     return value >> PAD_BITS
 
 
-def rotl_bits(state: bytes, count: int) -> bytes:
-    """Rotate a 93-byte value left by count bits."""
-    if len(state) != STATE_BYTES:
-        raise LengthError(f"expected {STATE_BYTES} bytes, got {len(state)}")
+def _check_key_length(master: bytes) -> None:
+    if len(master) != KEY_BYTES:
+        raise KeyFormatError(f"master key must be {KEY_BYTES} bytes, got {len(master)}")
+
+
+def rotl_bits(x: int, count: int) -> int:
+    """Rotate a 744-bit value left by count bits."""
     count %= STATE_BITS
-    x = int.from_bytes(state, "big")
-    x = ((x << count) | (x >> (STATE_BITS - count))) & _STATE_MASK
-    return x.to_bytes(STATE_BYTES, "big")
+    return ((x << count) | (x >> (STATE_BITS - count))) & _STATE_MASK
 
 
 class ExpandedKey:
-    """Expanded key material plus the keyed rotation draws."""
+    """The keyed rotation draws, the 17 round keys as 744-bit ints, and the S-box."""
 
-    __slots__ = ("k93", "rho", "sbox_rotation", "round_keys", "_rk_ints", "_sbox")
+    __slots__ = ("rho", "sbox_rotation", "round_keys", "_sbox")
 
-    def __init__(self, k93: bytes, rho: int, sbox_rotation: int, round_keys: tuple[bytes, ...]):
-        self.k93 = k93
+    def __init__(self, rho: int, sbox_rotation: int, round_keys: tuple[int, ...]):
         self.rho = rho
         self.sbox_rotation = sbox_rotation
         self.round_keys = round_keys
-        self._rk_ints = tuple(int.from_bytes(k, "big") for k in round_keys)
         self._sbox = build_sbox(sbox_rotation)
 
 
 def expand_key_with(master: bytes, rho: int, sbox_rotation: int) -> ExpandedKey:
     """Deterministic key expansion for explicit rotation values."""
-    if len(master) != KEY_BYTES:
-        raise KeyFormatError(f"master key must be {KEY_BYTES} bytes, got {len(master)}")
-    k93 = rotl_bits(cube.encode_block(master), rho)
+    _check_key_length(master)
+    k = rotl_bits(int.from_bytes(cube.encode_block(master), "big"), rho)
     round_keys = tuple(
-        rotl_bits(k93, (ROUND_KEY_STRIDE * r) % STATE_BITS)
-        for r in range(ROUNDS + 1)
+        rotl_bits(k, (ROUND_KEY_STRIDE * r) % STATE_BITS) for r in range(ROUNDS + 1)
     )
-    return ExpandedKey(k93, rho, sbox_rotation, round_keys)
+    return ExpandedKey(rho, sbox_rotation, round_keys)
 
 
 def expand_key_for(master: bytes) -> ExpandedKey:
-    """Seed the keyed generator from a 31-byte master key, draw rho and the S-box rotation, expand."""
+    """Seed the keyed generator from a 31-byte master key, draw rho and the S-box rotation, expand.
+
+    A key of any other length raises KeyFormatError before the generator is seeded.
+    """
+    _check_key_length(master)
     rng = seed_from_bytes(master)
     rho = next_below(rng, STATE_BITS)
-    sbox_rotation = next_below(rng, 16)
+    sbox_rotation = next_below(rng, ROTATIONS)
     return expand_key_with(master, rho, sbox_rotation)
 
 
@@ -172,7 +173,7 @@ def inv_mix_columns(state: bytes) -> bytes:
 
 def encrypt_block(p31: bytes, ek: ExpandedKey) -> bytes:
     """Encrypt one padded 31-byte block to a 93-byte ciphertext block."""
-    rk = ek._rk_ints
+    rk = ek.round_keys
     box = ek._sbox
     state = (int.from_bytes(cube.encode_block(p31), "big") ^ rk[0]).to_bytes(
         STATE_BYTES, "big"
@@ -190,7 +191,7 @@ def decrypt_block(c93: bytes, ek: ExpandedKey) -> bytes:
     """Invert encrypt_block; decode errors signal a wrong key or corruption."""
     if len(c93) != STATE_BYTES:
         raise LengthError(f"ciphertext block must be {STATE_BYTES} bytes, got {len(c93)}")
-    rk = ek._rk_ints
+    rk = ek.round_keys
     box = ek._sbox
     state = c93
     for r in range(ROUNDS, 0, -1):

@@ -5,7 +5,8 @@ The cube holds a pair of ASCII symbols per cell over the 81-symbol alphabet
 
     cell(x, y, z) = (chr(42 + 9x + y), chr(42 + 9y + z))
 
-A byte b at block position p encodes to (row_digit, col_digit, depth_symbol):
+A byte b at block position p encodes to the three ASCII bytes of its triple
+(row digit, column digit, depth symbol):
 
     v = (b - 42) mod 256        symbol value, alphabet origin '*'
     q = v div 81                overflow plane, 0..3 (0 for printable input)
@@ -17,7 +18,8 @@ The depth symbol re-encodes y alongside z_eff, so every triple carries a
 redundant copy of its column; the decoder checks it and rejects corrupted
 triples.  Folding q into z_eff extends the printable-alphabet scheme to all
 256 byte values without changing its shape, and keeps the map bijective per
-position: 31 input bytes always expand to 93 output bytes.
+position: encode_block always expands 31 input bytes to 93 output bytes,
+and decode_block inverts it.
 """
 
 from .errors import IntegrityError, LengthError, RangeError
@@ -72,20 +74,6 @@ def _decode_coords(x: int, y: int, m: int, p: int) -> int:
     if q > 3:
         raise RangeError(f"depth offset {q} impossible at position {p}")
     return (81 * q + 9 * x + y + SYMBOL_BASE) & 0xFF
-
-
-def encode_byte(b: int, p: int) -> tuple[str, str, str]:
-    """Encode one byte at block position p as a symbol triple."""
-    x, y, code = _encode_coords(b, p)
-    return (chr(DIGIT_BASE + x), chr(DIGIT_BASE + y), chr(code))
-
-
-def decode_triple(t: tuple[str, str, str], p: int) -> int:
-    """Invert encode_byte at the same position (errors as _decode_coords)."""
-    row, col, depth = t
-    return _decode_coords(
-        ord(row) - DIGIT_BASE, ord(col) - DIGIT_BASE, ord(depth) - SYMBOL_BASE, p
-    )
 
 
 def encode_bytes(data: bytes) -> bytes:

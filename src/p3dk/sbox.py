@@ -3,10 +3,11 @@
 forward(a, b, c) = (b, c, (a + c + 8 + R) mod 16) for rotation R in [0, 15].
 The +8 offset starts the output sequence at the ninth hexadecimal value.
 Inputs and outputs are packed as 12-bit integers (a << 8 | b << 4 | c) and
-the full 4096-entry forward/inverse tables are materialized.
+the full 4096-entry forward/inverse tables are materialized; a triple is
+looked up as box.forward[a << 8 | b << 4 | c].
 
-Tables for the 16 rotations are built once and shared; SBox3D is immutable,
-so sharing is safe.  Every table entry is taken from one tuple of the 4096
+Tables for the ROTATIONS = 16 rotations are built once and shared; SBox3D is
+immutable, so sharing is safe.  Every table entry is taken from one tuple of the 4096
 possible values, so all 32 tables share the same 4096 int objects instead
 of each holding its own copies.  rotate() deliberately performs one full
 table pass per unit so its cost grows linearly with the rotation count.
@@ -18,6 +19,7 @@ from .cube import ENCODED_BYTES
 from .errors import LengthError, RangeError
 
 TRIPLE_COUNT = 4096
+ROTATIONS = 16  # rotation counts 0..15; rotate() wraps modulo this
 OFFSET = 8  # output sequence starts at the (16/2+1)th hexadecimal value
 
 _VALUES = tuple(range(TRIPLE_COUNT))
@@ -52,22 +54,10 @@ def _tables(rotation: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 def build_sbox(rotation: int) -> SBox3D:
-    if not 0 <= rotation <= 15:
-        raise RangeError(f"rotation must be in [0, 15], got {rotation}")
+    if not 0 <= rotation < ROTATIONS:
+        raise RangeError(f"rotation must be in [0, {ROTATIONS - 1}], got {rotation}")
     forward, inverse = _tables(rotation)
     return SBox3D(rotation, forward, inverse)
-
-
-def substitute(box: SBox3D, t: tuple[int, int, int]) -> tuple[int, int, int]:
-    a, b, c = t
-    out = box.forward[(a << 8) | (b << 4) | c]
-    return (out >> 8, (out >> 4) & 0xF, out & 0xF)
-
-
-def invert(box: SBox3D, t: tuple[int, int, int]) -> tuple[int, int, int]:
-    y1, y2, y3 = t
-    src = box.inverse[(y1 << 8) | (y2 << 4) | y3]
-    return (src >> 8, (src >> 4) & 0xF, src & 0xF)
 
 
 def rotate(box: SBox3D, count: int) -> SBox3D:
@@ -82,7 +72,7 @@ def rotate(box: SBox3D, count: int) -> SBox3D:
         inverse = tuple(
             inverse[(i & 0xFF0) | ((i - 1) & 0xF)] for i in range(TRIPLE_COUNT)
         )
-    return SBox3D((box.rotation + count) % 16, forward, inverse)
+    return SBox3D((box.rotation + count) % ROTATIONS, forward, inverse)
 
 
 def _map_state(table: tuple[int, ...], state: bytes) -> bytes:

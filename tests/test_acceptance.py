@@ -1,8 +1,10 @@
 """Acceptance suite: ten gates, one test and one printed verdict line each.
 
 Timing gates assert shape only (monotonicity, linear fit); absolute times
-are hardware-bound.  Run with `pytest -s tests/test_acceptance.py` to see
-every verdict line including the measured values.
+are hardware-bound.  Criteria 01 and 03 also carry a 1 s budget, measured
+in this process's CPU time so that other load on the machine does not
+count.  Run with `pytest -s tests/test_acceptance.py` to see every verdict
+line including the measured values.
 """
 
 import random
@@ -22,19 +24,21 @@ def _verdict(num: int, name: str, ok: bool, detail: str) -> bool:
 
 
 def test_criterion_01_codec_bijectivity():
-    start = time.perf_counter()
+    start = time.process_time()
     failures = 0
-    for b in range(256):
-        for p in range(9):
-            if cube.decode_triple(cube.encode_byte(b, p), p) != b:
-                failures += 1
-    elapsed = time.perf_counter() - start
+    cases = 0
+    for shift in range(256):
+        block = bytes((shift + p) % 256 for p in range(31))
+        decoded = cube.decode_block(cube.encode_block(block))
+        failures += sum(got != want for got, want in zip(decoded, block))
+        cases += len(block)
+    elapsed = time.process_time() - start
     ok = failures == 0 and elapsed < 1.0
     assert _verdict(
         1,
         "codec bijectivity",
         ok,
-        f"2304 cases, {failures} failures, {elapsed:.3f}s < 1s",
+        f"{cases} cases, {failures} failures, {elapsed:.3f}s CPU < 1s",
     )
 
 
@@ -59,7 +63,7 @@ def test_criterion_02_cube_dump_conformance():
 
 
 def test_criterion_03_sbox_permutation():
-    start = time.perf_counter()
+    start = time.process_time()
     identity = list(range(4096))
     checks = 0
     ok = True
@@ -71,13 +75,13 @@ def test_criterion_03_sbox_permutation():
     base = sbox.build_sbox(0)
     for n in range(33):
         ok = ok and sbox.rotate(base, n) == sbox.build_sbox(n % 16)
-    elapsed = time.perf_counter() - start
+    elapsed = time.process_time() - start
     ok = ok and elapsed < 1.0
     assert _verdict(
         3,
         "sbox permutation",
         ok,
-        f"{checks} inverse checks, rotations 0..32, {elapsed:.3f}s < 1s",
+        f"{checks} inverse checks, rotations 0..32, {elapsed:.3f}s CPU < 1s",
     )
 
 
@@ -235,11 +239,13 @@ def test_criterion_10_error_paths(tmp_path, capsys):
     except Exception:
         checks.append(("col_digit -> IntegrityError", False))
 
+    encoded = bytearray(cube.encode_block(bytes(31)))
+    encoded[0:3] = b"00/"
     try:
-        cube.decode_triple(("0", "0", "/"), 0)
+        cube.decode_block(bytes(encoded))
         checks.append(("depth q>3 -> RangeError", False))
-    except RangeError:
-        checks.append(("depth q>3 -> RangeError", True))
+    except RangeError as exc:
+        checks.append(("depth q>3 -> RangeError", str(exc).startswith("triple 0:")))
     except Exception:
         checks.append(("depth q>3 -> RangeError", False))
 

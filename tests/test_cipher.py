@@ -62,17 +62,17 @@ def test_pad_block_value_must_fit(bits, nbits):
 def test_rotl_bits_full_cycle_and_bytewise():
     gen = random.Random(6)
     data = gen.randbytes(93)
-    assert rotl_bits(data, 0) == data
-    assert rotl_bits(data, 744) == data
-    assert rotl_bits(data, 8) == data[1:] + data[:1]
+    x = int.from_bytes(data, "big")
+    assert rotl_bits(x, 0) == x
+    assert rotl_bits(x, 744) == x
+    assert rotl_bits(x, 8) == int.from_bytes(data[1:] + data[:1], "big")
 
 
 def test_expand_key_with_forced_zero_rotation():
     key = bytes([0x2A] * 31)
     ek = expand_key_with(key, 0, 0)
-    assert ek.k93 == cube.encode_block(key)
-    assert ek.round_keys[0] == ek.k93
-    assert ek.round_keys[16] == rotl_bits(ek.k93, 8)
+    assert ek.round_keys[0] == int.from_bytes(cube.encode_block(key), "big")
+    assert ek.round_keys[16] == rotl_bits(ek.round_keys[0], 8)
     assert len(ek.round_keys) == 17
     assert len(set(ek.round_keys)) == 17
 
@@ -82,12 +82,32 @@ def test_expand_key_draws_from_seeded_rng():
     ek = expand_key_for(key)
     assert ek.rho == 444
     assert ek.sbox_rotation == 12
-    assert ek.k93 == rotl_bits(cube.encode_block(key), 444)
+    assert ek.round_keys[0] == rotl_bits(int.from_bytes(cube.encode_block(key), "big"), 444)
 
 
 def test_expand_key_wrong_length():
     with pytest.raises(KeyFormatError):
         expand_key_with(bytes(30), 0, 0)
+
+
+@pytest.mark.parametrize("length", (0, 30))
+def test_stream_wrong_key_length_is_key_format_error(length):
+    key = bytes(length)
+    with pytest.raises(KeyFormatError, match=f"master key must be 31 bytes, got {length}"):
+        encrypt_stream(b"x", key)
+    box = encrypt_stream(b"x", bytes([0x2A] * 31))
+    with pytest.raises(KeyFormatError, match=f"master key must be 31 bytes, got {length}"):
+        decrypt_stream(box, key)
+
+
+def test_key_schedule_matches_oracle():
+    gen = random.Random(13)
+    for _ in range(50):
+        key = gen.randbytes(31)
+        ek = expand_key_for(key)
+        rho, rotation, round_keys = kat_oracle.key_schedule(key)
+        assert (ek.rho, ek.sbox_rotation) == (rho, rotation)
+        assert ek.round_keys == tuple(int.from_bytes(k, "big") for k in round_keys)
 
 
 def test_shift_rows_keeps_row_zero():

@@ -6,10 +6,8 @@ import pytest
 from p3dk.cube import (
     build_cube,
     decode_block,
-    decode_triple,
     dump_cube,
     encode_block,
-    encode_byte,
 )
 from p3dk.errors import IntegrityError, LengthError, RangeError
 
@@ -31,58 +29,72 @@ def test_cube_corner_and_spot_cells():
     assert cube[8][8][8] == ("z", "z")
 
 
+def _triple(b: int, p: int) -> bytes:
+    """The 3 bytes that encode_block gives byte b at block position p."""
+    block = bytearray(31)
+    block[p] = b
+    return encode_block(bytes(block))[3 * p : 3 * p + 3]
+
+
+def _decode_at(triple: bytes, p: int) -> int:
+    """decode_block of an all-zero block whose triple p is replaced by triple."""
+    encoded = bytearray(encode_block(bytes(31)))
+    encoded[3 * p : 3 * p + 3] = triple
+    return decode_block(bytes(encoded))[p]
+
+
 def test_encode_byte_printable_letter():
-    assert encode_byte(80, 3) == ("4", "2", "?")
+    assert _triple(80, 3) == b"42?"
 
 
 def test_encode_byte_alphabet_origin():
-    assert encode_byte(42, 0) == ("0", "0", "*")
+    assert _triple(42, 0) == b"00*"
 
 
 def test_encode_byte_wraps_below_alphabet():
-    assert encode_byte(0, 0) == ("5", "7", "k")
+    assert _triple(0, 0) == b"57k"
 
 
 def test_decode_triple_inverts_wrapped_byte():
-    assert decode_triple(("5", "7", "k"), 0) == 0
+    assert _decode_at(b"57k", 0) == 0
 
 
 def test_decode_triple_column_mismatch():
     with pytest.raises(IntegrityError):
-        decode_triple(("0", "0", "z"), 0)
+        _decode_at(b"00z", 0)
 
 
 def test_decode_triple_impossible_depth():
     with pytest.raises(RangeError):
-        decode_triple(("0", "0", "/"), 0)
+        _decode_at(b"00/", 0)
 
 
 def test_decode_triple_bad_digits():
     with pytest.raises(IntegrityError):
-        decode_triple(("9", "0", "*"), 0)
+        _decode_at(b"90*", 0)
     with pytest.raises(IntegrityError):
-        decode_triple(("0", "0", "\x7f"), 0)
+        _decode_at(b"00\x7f", 0)
 
 
 def test_codec_bijective_over_all_bytes_and_positions():
     for b in range(256):
         for p in range(9):
-            assert decode_triple(encode_byte(b, p), p) == b
+            assert _decode_at(_triple(b, p), p) == b
 
 
 def test_alphabet_closure():
     for b in range(256):
         for p in range(9):
-            row, col, depth = encode_byte(b, p)
-            assert "0" <= row <= "8"
-            assert "0" <= col <= "8"
-            assert 42 <= ord(depth) <= 122
+            row, col, depth = _triple(b, p)
+            assert ord("0") <= row <= ord("8")
+            assert ord("0") <= col <= ord("8")
+            assert 42 <= depth <= 122
 
 
 def test_depth_symbol_tracks_position():
     for b in (0, 42, 80, 200, 255):
         for p in range(8):
-            assert encode_byte(b, p)[2] != encode_byte(b, p + 1)[2]
+            assert _triple(b, p)[2] != _triple(b, p + 1)[2]
 
 
 def test_encode_block_of_repeated_star_byte():

@@ -8,18 +8,16 @@ from p3dk.sbox import (
     build_sbox,
     dump_sbox,
     inv_sub_state,
-    invert,
     rotate,
     sub_state,
-    substitute,
 )
 
 
 def test_constructor_spot_values():
-    assert substitute(build_sbox(0), (0, 0, 0)) == (0, 0, 8)
-    assert substitute(build_sbox(8), (0, 0, 0)) == (0, 0, 0)
-    assert substitute(build_sbox(0), (0xA, 0xB, 0xC)) == (0xB, 0xC, 0xE)
-    assert substitute(build_sbox(0), (0, 0, 8)) == (0, 8, 0)
+    assert build_sbox(0).forward[0x000] == 0x008
+    assert build_sbox(8).forward[0x000] == 0x000
+    assert build_sbox(0).forward[0xABC] == 0xBCE
+    assert build_sbox(0).forward[0x008] == 0x080
 
 
 def test_rotation_out_of_range():
@@ -30,8 +28,8 @@ def test_rotation_out_of_range():
 
 
 def test_invert_spot_values():
-    assert invert(build_sbox(0), (0xB, 0xC, 0xE)) == (0xA, 0xB, 0xC)
-    assert invert(build_sbox(8), (0, 0, 0)) == (0, 0, 0)
+    assert build_sbox(0).inverse[0xBCE] == 0xABC
+    assert build_sbox(8).inverse[0x000] == 0x000
 
 
 def test_forward_is_permutation_with_exact_inverse():
@@ -47,8 +45,8 @@ def test_output_keeps_row_and_column():
     for a in range(16):
         for b in range(16):
             for c in range(16):
-                y1, y2, _ = substitute(box, (a, b, c))
-                assert (y1, y2) == (b, c)
+                out = box.forward[(a << 8) | (b << 4) | c]
+                assert (out >> 8, (out >> 4) & 0xF) == (b, c)
 
 
 def test_rotate_matches_direct_construction():
@@ -102,7 +100,7 @@ def test_dump_sbox_lines():
     for line in random.Random(5).sample(lines, 64):
         head, _, out = line.partition(" = ")
         a, b, c = (int(ch, 16) for ch in (head[2], head[5], head[8]))
-        assert substitute(box, (a, b, c)) == tuple(int(ch, 16) for ch in out)
+        assert out == f"{box.forward[(a << 8) | (b << 4) | c]:03x}"
 
 
 def test_tables_share_one_set_of_ints():
