@@ -4,7 +4,9 @@ Per block: 243 plaintext bits + 5 zero pad bits pack MSB-first into 31
 bytes, the cube codec expands them to a 93-byte state (3 rows x 31 columns,
 byte index 31r + j), and the state is whitened with round key 0.  Rounds
 1..16 then apply the triple substitution, a row shift, a column mix on even
-rounds only, and a round-key XOR.
+rounds only, and a round-key XOR.  From the whitening to the last key XOR
+the state is one 744-bit int, read big-endian, so row r is a 248-bit field
+and every layer takes and returns such an int.
 
 Key schedule: the 31 master key bytes are cube-expanded to 93 bytes, read
 as one 744-bit integer and bit-rotated left by rho; round key r is that
@@ -53,21 +55,10 @@ CHUNK_BLOCKS = 8 * CHUNK_BYTES // BLOCK_BITS
 _STATE_MASK = (1 << STATE_BITS) - 1
 _PAD_MASK = (1 << PAD_BITS) - 1
 
-# The state is a grid of 3 rows of KEY_BYTES columns; _ROWS[r] slices out row r.
-_ROWS = tuple(slice(r * KEY_BYTES, (r + 1) * KEY_BYTES) for r in range(3))
-
-
-def _rotated_rows(step: int) -> tuple[slice, ...]:
-    """Non-empty slices whose concatenation rotates grid row r left by step * r columns."""
-    parts = []
-    for r, row in enumerate(_ROWS):
-        cut = row.start + (step * r) % KEY_BYTES
-        parts += [slice(cut, row.stop), slice(row.start, cut)]
-    return tuple(s for s in parts if s.start < s.stop)
-
-
-_SHIFT = _rotated_rows(1)
-_INV_SHIFT = _rotated_rows(-1)
+# The state is a grid of 3 rows of KEY_BYTES columns held as one int, row 0 in
+# the top _ROW_BITS bits; a column is one byte wide.
+_ROW_BITS = 8 * KEY_BYTES
+_ROW_MASK = (1 << _ROW_BITS) - 1
 
 
 def pad_block(bits: int, nbits: int) -> bytes:
@@ -134,57 +125,51 @@ def expand_key_for(master: bytes) -> ExpandedKey:
     return expand_key_with(master, rho, sbox_rotation)
 
 
-def shift_rows(state: bytes) -> bytes:
+def _rows(state: int) -> tuple[int, int, int]:
+    return state >> (2 * _ROW_BITS), (state >> _ROW_BITS) & _ROW_MASK, state & _ROW_MASK
+
+
+def _rotl_row(row: int, columns: int) -> int:
+    """Rotate one row left by `columns` columns, modulo the row length."""
+    bits = 8 * (columns % KEY_BYTES)
+    return ((row << bits) | (row >> (_ROW_BITS - bits))) & _ROW_MASK
+
+
+def shift_rows(state: int) -> int:
     """Rotate grid row r left by r columns (row 0 unchanged)."""
-    a, b, c, d, e = _SHIFT
-    return state[a] + state[b] + state[c] + state[d] + state[e]
+    r0, r1, r2 = _rows(state)
+    return r0 << (2 * _ROW_BITS) | _rotl_row(r1, 1) << _ROW_BITS | _rotl_row(r2, 2)
 
 
-def inv_shift_rows(state: bytes) -> bytes:
-    a, b, c, d, e = _INV_SHIFT
-    return state[a] + state[b] + state[c] + state[d] + state[e]
+def inv_shift_rows(state: int) -> int:
+    r0, r1, r2 = _rows(state)
+    return r0 << (2 * _ROW_BITS) | _rotl_row(r1, -1) << _ROW_BITS | _rotl_row(r2, -2)
 
 
-def mix_columns(state: bytes) -> bytes:
+def mix_columns(state: int) -> int:
     """Per column (u, v, w) -> (u^v, v^w, u^v^w); XOR-linear and invertible."""
-    top, mid, low = _ROWS
-    r0 = int.from_bytes(state[top], "big")
-    r1 = int.from_bytes(state[mid], "big")
-    r2 = int.from_bytes(state[low], "big")
-    return (
-        (r0 ^ r1).to_bytes(KEY_BYTES, "big")
-        + (r1 ^ r2).to_bytes(KEY_BYTES, "big")
-        + (r0 ^ r1 ^ r2).to_bytes(KEY_BYTES, "big")
-    )
+    u, v, w = _rows(state)
+    return (u ^ v) << (2 * _ROW_BITS) | (v ^ w) << _ROW_BITS | (u ^ v ^ w)
 
 
-def inv_mix_columns(state: bytes) -> bytes:
+def inv_mix_columns(state: int) -> int:
     """Per column (o1, o2, o3) -> (o2^o3, o1^o2^o3, o1^o3)."""
-    top, mid, low = _ROWS
-    o1 = int.from_bytes(state[top], "big")
-    o2 = int.from_bytes(state[mid], "big")
-    o3 = int.from_bytes(state[low], "big")
-    return (
-        (o2 ^ o3).to_bytes(KEY_BYTES, "big")
-        + (o1 ^ o2 ^ o3).to_bytes(KEY_BYTES, "big")
-        + (o1 ^ o3).to_bytes(KEY_BYTES, "big")
-    )
+    o1, o2, o3 = _rows(state)
+    return (o2 ^ o3) << (2 * _ROW_BITS) | (o1 ^ o2 ^ o3) << _ROW_BITS | (o1 ^ o3)
 
 
 def encrypt_block(p31: bytes, ek: ExpandedKey) -> bytes:
     """Encrypt one padded 31-byte block to a 93-byte ciphertext block."""
     rk = ek.round_keys
     box = ek._sbox
-    state = (int.from_bytes(cube.encode_block(p31), "big") ^ rk[0]).to_bytes(
-        STATE_BYTES, "big"
-    )
+    state = int.from_bytes(cube.encode_block(p31), "big") ^ rk[0]
     for r in range(1, ROUNDS + 1):
         state = sub_state(box, state)
         state = shift_rows(state)
         if r % 2 == 0:
             state = mix_columns(state)
-        state = (int.from_bytes(state, "big") ^ rk[r]).to_bytes(STATE_BYTES, "big")
-    return state
+        state ^= rk[r]
+    return state.to_bytes(STATE_BYTES, "big")
 
 
 def decrypt_block(c93: bytes, ek: ExpandedKey) -> bytes:
@@ -193,15 +178,14 @@ def decrypt_block(c93: bytes, ek: ExpandedKey) -> bytes:
         raise LengthError(f"ciphertext block must be {STATE_BYTES} bytes, got {len(c93)}")
     rk = ek.round_keys
     box = ek._sbox
-    state = c93
+    state = int.from_bytes(c93, "big")
     for r in range(ROUNDS, 0, -1):
-        state = (int.from_bytes(state, "big") ^ rk[r]).to_bytes(STATE_BYTES, "big")
+        state ^= rk[r]
         if r % 2 == 0:
             state = inv_mix_columns(state)
         state = inv_shift_rows(state)
         state = inv_sub_state(box, state)
-    state = (int.from_bytes(state, "big") ^ rk[0]).to_bytes(STATE_BYTES, "big")
-    return cube.decode_block(state)
+    return cube.decode_block((state ^ rk[0]).to_bytes(STATE_BYTES, "big"))
 
 
 def _open_source(source: bytes | BinaryIO) -> tuple[BinaryIO, int]:

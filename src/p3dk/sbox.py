@@ -11,6 +11,9 @@ immutable, so sharing is safe.  Every table entry is taken from one tuple of the
 possible values, so all 32 tables share the same 4096 int objects instead
 of each holding its own copies.  rotate() deliberately performs one full
 table pass per unit so its cost grows linearly with the rotation count.
+
+sub_state and inv_sub_state take the cipher state as one 744-bit int and
+look up its 62 triples, the top 12 bits first, in the tables.
 """
 
 from typing import NamedTuple
@@ -22,6 +25,9 @@ TRIPLE_COUNT = 4096
 ROTATIONS = 16  # rotation counts 0..15; rotate() wraps modulo this
 OFFSET = 8  # output sequence starts at the (16/2+1)th hexadecimal value
 
+_STATE_BITS = 8 * ENCODED_BYTES
+_STATE_LIMIT = 1 << _STATE_BITS
+_TRIPLE_SHIFTS = tuple(range(_STATE_BITS - 12, -1, -12))  # top triple first
 _VALUES = tuple(range(TRIPLE_COUNT))
 _TABLE_CACHE: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
 
@@ -38,16 +44,17 @@ def _tables(rotation: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     cached = _TABLE_CACHE.get(rotation)
     if cached is not None:
         return cached
-    k = OFFSET + rotation
     forward = [0] * TRIPLE_COUNT
     inverse = [0] * TRIPLE_COUNT
-    for a in range(16):
-        for b in range(16):
-            for c in range(16):
-                src = (a << 8) | (b << 4) | c
-                out = (b << 8) | (c << 4) | ((a + c + k) & 0xF)
-                forward[src] = _VALUES[out]
-                inverse[out] = _VALUES[src]
+    # For fixed (b, c) the inputs (a, b, c), a = 0..15, sit 256 apart and map
+    # in order onto the 16 consecutive outputs (b, c, d) rotated left by
+    # c + 8 + R, so each (b, c) costs one slice assignment per table.
+    for bc in range(256):
+        turn = (bc + OFFSET + rotation) & 0xF
+        outs = _VALUES[bc << 4 : (bc + 1) << 4]
+        srcs = _VALUES[bc::256]
+        forward[bc::256] = outs[turn:] + outs[:turn]
+        inverse[bc << 4 : (bc + 1) << 4] = srcs[16 - turn :] + srcs[: 16 - turn]
     entry = (tuple(forward), tuple(inverse))
     _TABLE_CACHE[rotation] = entry
     return entry
@@ -65,45 +72,45 @@ def rotate(box: SBox3D, count: int) -> SBox3D:
 
     Each unit physically relabels both tables, so cost is linear in count.
     """
+    # up[e] is e with its low nibble stepped up by one, modulo 16, and down[e]
+    # with it stepped down; each unit maps both tables through them in C.
+    up = list(_VALUES[1:] + _VALUES[:1])
+    up[15::16] = _VALUES[0::16]
+    down = list(_VALUES[-1:] + _VALUES[:-1])
+    down[0::16] = _VALUES[15::16]
     forward = box.forward
     inverse = box.inverse
     for _ in range(count):
-        forward = tuple((e & 0xFF0) | ((e + 1) & 0xF) for e in forward)
-        inverse = tuple(
-            inverse[(i & 0xFF0) | ((i - 1) & 0xF)] for i in range(TRIPLE_COUNT)
-        )
+        forward = tuple(map(up.__getitem__, forward))
+        inverse = tuple(map(inverse.__getitem__, down))
     return SBox3D((box.rotation + count) % ROTATIONS, forward, inverse)
 
 
-def _map_state(table: tuple[int, ...], state: bytes) -> bytes:
-    """Apply a triple table across a 93-byte state.
-
-    Nibbles are taken high-first within each byte and grouped left to right
-    into triples; every 3 bytes hold exactly 2 triples.
-    """
-    if len(state) != ENCODED_BYTES:
-        raise LengthError(f"state must be {ENCODED_BYTES} bytes, got {len(state)}")
-    out = bytearray(ENCODED_BYTES)
-    for j in range(0, ENCODED_BYTES, 3):
-        b0 = state[j]
-        b1 = state[j + 1]
-        b2 = state[j + 2]
-        t1 = table[(b0 << 4) | (b1 >> 4)]
-        t2 = table[((b1 & 0xF) << 8) | b2]
-        out[j] = t1 >> 4
-        out[j + 1] = ((t1 & 0xF) << 4) | (t2 >> 8)
-        out[j + 2] = t2 & 0xFF
-    return bytes(out)
+def _state_error(state: int) -> LengthError:
+    got = "a negative int" if state < 0 else f"{state.bit_length()} bits"
+    return LengthError(f"state must be an int in [0, 2**{_STATE_BITS}), got {got}")
 
 
-def sub_state(box: SBox3D, state: bytes) -> bytes:
-    """Substitute all 62 nibble triples of a 93-byte state."""
-    return _map_state(box.forward, state)
+def sub_state(box: SBox3D, state: int) -> int:
+    """Substitute all 62 nibble triples of a 744-bit state; an int outside [0, 2**744) raises."""
+    if not 0 <= state < _STATE_LIMIT:
+        raise _state_error(state)
+    table = box.forward
+    out = 0
+    for shift in _TRIPLE_SHIFTS:
+        out = (out << 12) | table[(state >> shift) & 0xFFF]
+    return out
 
 
-def inv_sub_state(box: SBox3D, state: bytes) -> bytes:
+def inv_sub_state(box: SBox3D, state: int) -> int:
     """Inverse of sub_state."""
-    return _map_state(box.inverse, state)
+    if not 0 <= state < _STATE_LIMIT:
+        raise _state_error(state)
+    table = box.inverse
+    out = 0
+    for shift in _TRIPLE_SHIFTS:
+        out = (out << 12) | table[(state >> shift) & 0xFFF]
+    return out
 
 
 def dump_sbox(box: SBox3D) -> str:

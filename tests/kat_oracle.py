@@ -38,6 +38,29 @@ def cube_encode(data):
     return bytes(out)
 
 
+def cube_decode(encoded):
+    """Invert cube_encode triple by triple.
+
+    Returns the decoded bytes, or (error class name, triple index) for the
+    first triple that is off the alphabet, whose depth symbol disagrees with
+    its column digit (IntegrityError), or whose depth offset q is over 3
+    (RangeError).  Offsets up to 3 are accepted even where 81q + 9x + y runs
+    past 255; the byte then wraps modulo 256.
+    """
+    out = []
+    for p in range(len(encoded) // 3):
+        x = encoded[3 * p] - ord("0")
+        y = encoded[3 * p + 1] - ord("0")
+        m = encoded[3 * p + 2] - 42
+        if not (0 <= x <= 8 and 0 <= y <= 8 and 0 <= m <= 80) or m // 9 != y:
+            return ("IntegrityError", p)
+        q = (m % 9 - p) % 9
+        if q > 3:
+            return ("RangeError", p)
+        out.append((81 * q + 9 * x + y + 42) % 256)
+    return bytes(out)
+
+
 def rotl_744(data, k):
     bits = "".join(f"{b:08b}" for b in data)
     bits = bits[k % 744:] + bits[: k % 744]

@@ -119,13 +119,13 @@ def test_criterion_05_layer_inverses():
     )
     mix_failures = 0
     for i in range(0, len(u), 31):
-        state = u[i : i + 31] + v[i : i + 31] + w[i : i + 31]
+        state = int.from_bytes(u[i : i + 31] + v[i : i + 31] + w[i : i + 31], "big")
         if cipher.inv_mix_columns(cipher.mix_columns(state)) != state:
             mix_failures += 1
     gen = random.Random(0xACC5)
     other_failures = 0
     for _ in range(10_000):
-        state = gen.randbytes(93)
+        state = int.from_bytes(gen.randbytes(93), "big")
         if cipher.inv_shift_rows(cipher.shift_rows(state)) != state:
             other_failures += 1
         box = sbox.build_sbox(gen.randrange(16))

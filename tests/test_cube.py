@@ -2,12 +2,16 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import kat_oracle
 from p3dk.cube import (
     build_cube,
     decode_block,
     dump_cube,
     encode_block,
+    encode_bytes,
 )
 from p3dk.errors import IntegrityError, LengthError, RangeError
 
@@ -124,6 +128,55 @@ def test_decode_block_reports_corrupted_triple_index():
     encoded[3 * 7 + 1] = ord("0") if col != ord("0") else ord("1")
     with pytest.raises(IntegrityError, match="triple 7"):
         decode_block(bytes(encoded))
+
+
+def test_encode_bytes_matches_oracle():
+    gen = random.Random(17)
+    for n in range(101):
+        data = gen.randbytes(n)
+        assert encode_bytes(data) == kat_oracle.cube_encode(data)
+    # Byte b sits at position 256i + b, and 256i mod 9 takes all nine values
+    # over i = 0..8, so every byte meets every depth offset p mod 9.
+    data = bytes(range(256)) * 9
+    assert encode_bytes(data) == kat_oracle.cube_encode(data)
+
+
+# Bytes at the edges of each check: digits, the alphabet's ends and their
+# neighbours, and bytes no check expects.
+_EDGES = st.sampled_from(b"/0189:)*+yz{\x00\xff")
+
+
+@st.composite
+def _encoded_blocks(draw):
+    """93 random bytes, or a valid encoding with one to three bytes or triples replaced."""
+    if draw(st.booleans()):
+        return draw(st.binary(min_size=93, max_size=93))
+    encoded = bytearray(encode_block(draw(st.binary(min_size=31, max_size=31))))
+    for _ in range(draw(st.integers(1, 3))):
+        p = draw(st.integers(0, 30))
+        how = draw(st.sampled_from(("byte", "agreeing triple", "edge triple")))
+        if how == "byte":
+            encoded[3 * p + draw(st.integers(0, 2))] = draw(st.integers(0, 255) | _EDGES)
+        elif how == "agreeing triple":
+            # Digits and a depth symbol that agree on the column, at any depth.
+            x, y, z = (draw(st.integers(0, 8)) for _ in range(3))
+            encoded[3 * p : 3 * p + 3] = bytes([48 + x, 48 + y, 42 + 9 * y + z])
+        else:
+            encoded[3 * p : 3 * p + 3] = bytes(draw(_EDGES) for _ in range(3))
+    return bytes(encoded)
+
+
+@settings(max_examples=2000, deadline=None)
+@given(_encoded_blocks())
+def test_decode_block_matches_oracle(encoded):
+    want = kat_oracle.cube_decode(encoded)
+    if isinstance(want, bytes):
+        assert decode_block(encoded) == want
+        return
+    kind, p = want
+    with pytest.raises((IntegrityError, RangeError)) as info:
+        decode_block(encoded)
+    assert (type(info.value).__name__, str(info.value).split(":")[0]) == (kind, f"triple {p}")
 
 
 def test_dump_cube_contains_known_lines():
