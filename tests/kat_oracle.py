@@ -43,9 +43,9 @@ def cube_decode(encoded):
 
     Returns the decoded bytes, or (error class name, triple index) for the
     first triple that is off the alphabet, whose depth symbol disagrees with
-    its column digit (IntegrityError), or whose depth offset q is over 3
-    (RangeError).  Offsets up to 3 are accepted even where 81q + 9x + y runs
-    past 255; the byte then wraps modulo 256.
+    its column digit (IntegrityError), or whose depth offset q is over 3 or
+    whose symbol value 81q + 9x + y is past 255 (RangeError): no byte
+    encodes to such a triple.
     """
     out = []
     for p in range(len(encoded) // 3):
@@ -55,9 +55,10 @@ def cube_decode(encoded):
         if not (0 <= x <= 8 and 0 <= y <= 8 and 0 <= m <= 80) or m // 9 != y:
             return ("IntegrityError", p)
         q = (m % 9 - p) % 9
-        if q > 3:
+        v = 81 * q + 9 * x + y
+        if q > 3 or v > 255:
             return ("RangeError", p)
-        out.append((81 * q + 9 * x + y + 42) % 256)
+        out.append((v + 42) % 256)
     return bytes(out)
 
 

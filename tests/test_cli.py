@@ -12,10 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from p3dk import cipher
+from p3dk import cipher, cube, sbox
 from p3dk.cipher import CHUNK_BLOCKS, CHUNK_BYTES, HEADER_BYTES, STATE_BYTES, encrypt_stream
 from p3dk.cli import run
-from p3dk.errors import IntegrityError
+from p3dk.errors import IntegrityError, RangeError
 
 KEY = bytes(range(0, 60, 2)) + b"\x40"
 
@@ -326,6 +326,43 @@ def test_errors_name_the_block_and_its_bytes(tmp_path, capsys, how):
     capsys.readouterr()
     assert crypt("decrypt", key_path, boxed, tmp_path / "back") == 3
     assert f"format error: {where}" in capsys.readouterr().err
+
+
+def _encrypt_state(encoded, ek):
+    """The rounds of encrypt_block over a 93-byte state that is already cube-encoded."""
+    box = sbox.build_sbox(ek.sbox_rotation)
+    state = int.from_bytes(encoded, "big") ^ ek.round_keys[0]
+    for r in range(1, cipher.ROUNDS + 1):
+        state = cipher.shift_rows(cipher.sub_state(box, state))
+        if r % 2 == 0:
+            state = cipher.mix_columns(state)
+        state ^= ek.round_keys[r]
+    return state.to_bytes(STATE_BYTES, "big")
+
+
+def test_triple_no_byte_encodes_to_is_rejected(tmp_path, capsys):
+    """A one-block container whose decrypted state holds triple 0 = "88u" is refused.
+
+    "88u" has depth offset q = 3 and symbol value 81q + 9x + y = 323, past
+    255.  Wrapped modulo 256 it would read as byte 109, whose own triple is
+    "74N", so the container would decrypt without being the canonical one.
+    """
+    message = bytes([109]) + random.Random(5).randbytes(29)
+    encoded = cube.encode_block(message + bytes(1))
+    assert encoded[:3] == b"74N"
+    box = encrypt_stream(message, KEY)[:HEADER_BYTES] + _encrypt_state(
+        b"88u" + encoded[3:], cipher.expand_key_for(KEY)
+    )
+    where = "block 0 (container bytes 14-106): triple 0: "
+    with pytest.raises(RangeError, match="^" + re.escape(where)):
+        cipher.decrypt_stream(box, KEY)
+    key_path, boxed, opened = tmp_path / "key", tmp_path / "box", tmp_path / "back"
+    key_path.write_bytes(KEY)
+    boxed.write_bytes(box)
+    capsys.readouterr()
+    assert crypt("decrypt", key_path, boxed, opened) == 3
+    assert where in capsys.readouterr().err
+    assert not opened.exists()
 
 
 def test_cli_memory_does_not_grow_with_file_size(tmp_path, monkeypatch):

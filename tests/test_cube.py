@@ -86,6 +86,33 @@ def test_codec_bijective_over_all_bytes_and_positions():
             assert _decode_at(_triple(b, p), p) == b
 
 
+def test_decode_accepts_exactly_the_triples_encode_emits():
+    """At each position, of the 9 * 9 * 81 triples of digits and alphabet symbols,
+    decode_block accepts exactly the 256 that encode_block emits there.
+
+    Of the rest, 68 have a depth symbol that agrees with the column digit at
+    a depth offset q <= 3, but a symbol value 81q + 9x + y past 255.  No byte
+    encodes to them, and they raise RangeError.
+    """
+    encoded = bytearray(encode_block(bytes(31)))
+    for p in range(31):
+        emitted = {_triple(b, p): b for b in range(256)}
+        accepted, past_255 = {}, 0
+        for x, y, m in itertools.product(range(9), range(9), range(81)):
+            triple = bytes([48 + x, 48 + y, 42 + m])
+            encoded[3 * p : 3 * p + 3] = triple
+            try:
+                accepted[triple] = decode_block(encoded)[p]
+            except (IntegrityError, RangeError) as exc:
+                assert str(exc).startswith(f"triple {p}: ")
+                if m // 9 == y and (m % 9 - p) % 9 <= 3:
+                    assert type(exc) is RangeError
+                    past_255 += 1
+        encoded[3 * p : 3 * p + 3] = _triple(0, p)
+        assert accepted == emitted
+        assert past_255 == 68
+
+
 def test_alphabet_closure():
     for b in range(256):
         for p in range(9):
