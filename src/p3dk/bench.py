@@ -2,12 +2,14 @@
 
 Three timing experiments (encryption time vs file size, table-rotation time
 vs rotation count, per-message setup time vs input bit length) plus an
-avalanche statistic.  All timings use the monotonic clock, run single
-threaded, discard warmup passes, and report the median over trials;
-medians resist scheduler noise better than means.  Absolute values are
-hardware-bound, so tests assert shapes (monotonicity, linear fit), never
-milliseconds.  Reference timings from older hardware travel as `ref_*`
-metadata comments in the CSV, clearly separated from measured rows.
+avalanche statistic.  All timings use the monotonic clock and time the
+library as it runs: a multi-chunk `encrypt_stream` in `bench_filesize` runs
+on two processes where p3dk.cipher forks a child.  They discard warmup
+passes and report the median over trials; medians resist scheduler noise
+better than means.  Absolute values are hardware-bound, so tests assert
+shapes (monotonicity, linear fit), never milliseconds.  Reference timings
+from older hardware travel as `ref_*` metadata comments in the CSV, clearly
+separated from measured rows.
 """
 
 import contextlib

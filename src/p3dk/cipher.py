@@ -21,7 +21,7 @@ plaintext bit length:
 
 The stream functions read and write CHUNK_BYTES of plaintext (CHUNK_BLOCKS
 blocks) at a time, so their memory does not grow with the input when they
-are given files.
+are given files; `_write_in_order` may split their chunks with one forked child.
 
 Codebook mode leaks equal-block structure; this artifact makes no security
 claims (see README).
@@ -225,6 +225,114 @@ def _encrypt_chunk(data: bytes, ek: ExpandedKey) -> bytes:
     return b"".join(parts)
 
 
+def _decrypt_chunk(payload: bytes, first: int, bit_len: int, ek: ExpandedKey) -> bytes:
+    """Decrypt a chunk that starts at block `first`; a failing block is named in the error."""
+    count = len(payload) // STATE_BYTES
+    value = 0
+    try:
+        for i in range(count):
+            c93 = payload[i * STATE_BYTES : (i + 1) * STATE_BYTES]
+            value = (value << BLOCK_BITS) | unpad_block(decrypt_block(c93, ek))
+        nbits = min(BLOCK_BITS * count, bit_len - BLOCK_BITS * first)
+        excess = BLOCK_BITS * count - nbits
+        if value & ((1 << excess) - 1):
+            raise IntegrityError(f"non-zero bits past the recorded length of {bit_len} bits")
+    except (IntegrityError, RangeError) as exc:
+        start = HEADER_BYTES + (first + i) * STATE_BYTES
+        raise type(exc)(
+            f"block {first + i} (container bytes {start}-{start + STATE_BYTES - 1}): {exc}"
+        ) from None
+    return (value >> excess).to_bytes(nbits // 8, "big")
+
+
+def _may_fork(nchunks: int) -> bool:
+    """Two chunks or more, fork, two CPUs and no other thread (a fork can copy a held lock)."""
+    if nchunks < 2 or not hasattr(os, "fork"):
+        return False
+    try:
+        return len(os.sched_getaffinity(0)) >= 2 and len(os.listdir("/proc/self/task")) == 1
+    except (AttributeError, OSError):  # CPUs or threads cannot be counted here
+        return False
+
+
+def _send(fh: BinaryIO, message: bytes) -> None:
+    """Write a length-prefixed message to a pipe."""
+    fh.write(len(message).to_bytes(4, "big") + message)
+    fh.flush()
+
+
+def _receive(fh: BinaryIO) -> bytes:
+    """The next length-prefixed message from a pipe; RuntimeError if it closes before one."""
+    head = fh.read(4)
+    size = int.from_bytes(head, "big")
+    message = fh.read(size)
+    if len(head) < 4 or len(message) < size:
+        raise RuntimeError("the worker process ended before a whole message")
+    return message
+
+
+def _write_in_order(nchunks: int, read, work, write) -> None:
+    """write(work(i, read(i))) for i in range(nchunks), in that order.
+
+    When _may_fork allows, a forked child computes the odd chunks with the key
+    schedule it inherited, while this process reads every chunk, computes the
+    even ones and writes all of them: it holds at most two chunks, the child
+    one.  A chunk the child fails on is computed again here, so its error is
+    raised exactly as on one process, and in stream order.  Closing the pipes
+    ends the child within one chunk, and it is reaped before this returns.
+    """
+    fds, pid = (), None
+    try:
+        if _may_fork(nchunks):
+            fds = os.pipe()
+            fds += os.pipe()
+            pid = os.fork()
+    except OSError:
+        for fd in fds:
+            os.close(fd)
+    if pid is None:
+        for i in range(nchunks):
+            write(work(i, read(i)))
+        return
+    jobs_r, jobs_w, results_r, results_w = fds
+    os.close(jobs_w if pid == 0 else jobs_r)
+    os.close(results_r if pid == 0 else results_w)
+    if pid == 0:
+        # The child ends in os._exit: unwinding into the caller's frames could
+        # flush or remove the caller's files.  Frozen, its collector finalizes
+        # none of the parent's objects.
+        try:
+            import gc
+
+            gc.freeze()
+            inbox, outbox = open(jobs_r, "rb"), open(results_w, "wb")
+            for i in range(1, nchunks, 2):
+                data = _receive(inbox)
+                try:
+                    reply = b"=" + work(i, data)
+                except Exception:  # the parent computes the chunk again and raises
+                    reply = b"!"
+                _send(outbox, reply)
+        finally:
+            os._exit(0)
+    try:
+        with open(jobs_w, "wb") as to_child, open(results_r, "rb") as from_child:
+            for i in range(0, nchunks, 2):
+                chunk = read(i)
+                odd = read(i + 1) if i + 1 < nchunks else None
+                if odd is not None:
+                    _send(to_child, odd)
+                write(work(i, chunk))
+                if odd is not None:
+                    reply = _receive(from_child)
+                    write(reply[1:] if reply[:1] == b"=" else work(i + 1, odd))
+    finally:
+        try:
+            os.waitpid(pid, 0)
+        except ChildProcessError:  # the caller ignores SIGCHLD or reaps in its handler
+            pass
+
+
 def encrypt_stream(
     plaintext: bytes | BinaryIO, master: bytes, out: BinaryIO | None = None
 ) -> bytes | int:
@@ -239,8 +347,12 @@ def encrypt_stream(
     parts = []
     write = parts.append if out is None else out.write
     write(MAGIC + bytes([VERSION, 0]) + (8 * size).to_bytes(8, "little"))
-    for start in range(0, size, CHUNK_BYTES):
-        write(_encrypt_chunk(_read_exact(src, min(CHUNK_BYTES, size - start), "input"), ek))
+    _write_in_order(
+        (size + CHUNK_BYTES - 1) // CHUNK_BYTES,
+        lambda i: _read_exact(src, min(CHUNK_BYTES, size - i * CHUNK_BYTES), "input"),
+        lambda i, data: _encrypt_chunk(data, ek),
+        write,
+    )
     if out is None:
         return b"".join(parts)
     nblocks = (8 * size + BLOCK_BITS - 1) // BLOCK_BITS
@@ -282,25 +394,14 @@ def decrypt_stream(
         )
     ek = expand_key_for(master)
     parts = []
-    write = parts.append if out is None else out.write
-    for first in range(0, nblocks, CHUNK_BLOCKS):
-        count = min(CHUNK_BLOCKS, nblocks - first)
-        payload = _read_exact(src, count * STATE_BYTES, "container")
-        value = 0
-        try:
-            for i in range(count):
-                c93 = payload[i * STATE_BYTES : (i + 1) * STATE_BYTES]
-                value = (value << BLOCK_BITS) | unpad_block(decrypt_block(c93, ek))
-            nbits = min(BLOCK_BITS * count, bit_len - BLOCK_BITS * first)
-            excess = BLOCK_BITS * count - nbits
-            if value & ((1 << excess) - 1):
-                raise IntegrityError(f"non-zero bits past the recorded length of {bit_len} bits")
-        except (IntegrityError, RangeError) as exc:
-            start = HEADER_BYTES + (first + i) * STATE_BYTES
-            raise type(exc)(
-                f"block {first + i} (container bytes {start}-{start + STATE_BYTES - 1}): {exc}"
-            ) from None
-        write((value >> excess).to_bytes(nbits // 8, "big"))
+    _write_in_order(
+        (nblocks + CHUNK_BLOCKS - 1) // CHUNK_BLOCKS,
+        lambda i: _read_exact(
+            src, min(CHUNK_BLOCKS, nblocks - i * CHUNK_BLOCKS) * STATE_BYTES, "container"
+        ),
+        lambda i, payload: _decrypt_chunk(payload, i * CHUNK_BLOCKS, bit_len, ek),
+        parts.append if out is None else out.write,
+    )
     return b"".join(parts) if out is None else bit_len // 8
 
 

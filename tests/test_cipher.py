@@ -1,5 +1,9 @@
 import io
+import os
 import random
+import subprocess
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -274,6 +278,175 @@ def test_stream_files_match_bytes(size):
     back = io.BytesIO()
     assert decrypt_stream(io.BytesIO(box), key, back) == size
     assert back.getvalue() == data == decrypt_stream(box, key)
+
+
+@pytest.mark.parametrize(
+    "size", (cipher.CHUNK_BYTES - 1, cipher.CHUNK_BYTES + 1, 2 * cipher.CHUNK_BYTES + 100)
+)
+def test_multi_chunk_stream_matches_oracle(size, monkeypatch):
+    """The container of one, two and three chunks is the oracle's, whichever process made each."""
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    gen = random.Random(size)
+    key, data = gen.randbytes(31), gen.randbytes(size)
+    box = encrypt_stream(data, key)
+    assert box == kat_oracle.encrypt_container(data, key)
+    assert decrypt_stream(box, key) == data
+    assert len(forks) == (2 if size > cipher.CHUNK_BYTES and cipher._may_fork(2) else 0)
+
+
+def _flip(box: bytes, *blocks: int) -> bytes:
+    """The container with one bit flipped in each of the given blocks."""
+    bad = bytearray(box)
+    for block in blocks:
+        bad[cipher.HEADER_BYTES + block * STATE_BYTES + 50] ^= 0x04
+    return bytes(bad)
+
+
+def _decrypt_error(box: bytes, key: bytes, out=None) -> P3DKError:
+    with pytest.raises(P3DKError) as info:
+        decrypt_stream(box, key, out)
+    return info.value
+
+
+def test_chunk_errors_are_raised_in_stream_order(monkeypatch):
+    """A bad block in chunk 1 raises as it would in one process; one in chunk 0 wins over it."""
+    gen = random.Random(21)
+    key, data = gen.randbytes(31), gen.randbytes(2 * cipher.CHUNK_BYTES + 100)
+    box = encrypt_stream(data, key)
+    in_chunk1, both = _flip(box, 300), _flip(box, 10, 300)
+    out = io.BytesIO()
+    forked = _decrypt_error(in_chunk1, key, out)
+    assert out.getvalue() == data[: cipher.CHUNK_BYTES]
+    assert str(_decrypt_error(both, key)).startswith("block 10 (container bytes 944-1036): ")
+    monkeypatch.setattr(cipher, "_may_fork", lambda nchunks: False)
+    serial = _decrypt_error(in_chunk1, key)
+    assert (type(forked), str(forked)) == (type(serial), str(serial))
+    assert str(serial).startswith("block 300 (container bytes 27914-28006): ")
+
+
+def test_a_chunk_the_child_fails_on_is_computed_again(monkeypatch):
+    """A fault only the child meets is recovered from; a child that dies raises RuntimeError."""
+    if not cipher._may_fork(2):
+        pytest.skip("this process does not fork (one CPU, no fork, or other threads)")
+    parent, encrypt, fault = os.getpid(), cipher.encrypt_block, [lambda: int("boom")]
+
+    def encrypt_block(p31, ek):
+        return encrypt(p31, ek) if os.getpid() == parent else fault[0]()
+
+    data = random.Random(24).randbytes(3 * cipher.CHUNK_BYTES)
+    box = encrypt_stream(data, bytes(31))
+    monkeypatch.setattr(cipher, "encrypt_block", encrypt_block)
+    assert encrypt_stream(data, bytes(31)) == box
+    fault[0] = lambda: os._exit(1)
+    with pytest.raises(RuntimeError, match="^the worker process ended before a whole message$"):
+        encrypt_stream(data, bytes(31))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class _FailingWriter(io.BytesIO):
+    def write(self, data):
+        if self.tell():
+            raise OSError("disk full")
+        return super().write(data)
+
+
+def test_no_child_process_is_left_behind():
+    """After a success, a failing decrypt and a failing writer, every child has been reaped."""
+    key = bytes([0x2A] * 31)
+    data = random.Random(22).randbytes(3 * cipher.CHUNK_BYTES)
+    box = encrypt_stream(data, key)
+    assert decrypt_stream(box, key) == data
+    with pytest.raises(IntegrityError):
+        decrypt_stream(_flip(box, 300), key)
+    with pytest.raises(OSError, match="disk full"):
+        encrypt_stream(data, key, _FailingWriter())
+    with pytest.raises(OSError, match="disk full"):
+        decrypt_stream(box, key, _FailingWriter())
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_process_with_threads_does_not_fork(monkeypatch):
+    """A fork beside another thread could copy a lock that thread holds, so none is made."""
+
+    def fork():
+        raise AssertionError("forked beside another thread")
+
+    monkeypatch.setattr(os, "fork", fork)
+    stop = threading.Event()
+    waiter = threading.Thread(target=stop.wait, args=(60,))
+    waiter.start()
+    try:
+        data = random.Random(25).randbytes(2 * cipher.CHUNK_BYTES)
+        assert decrypt_stream(encrypt_stream(data, bytes(31)), bytes(31)) == data
+    finally:
+        stop.set()
+        waiter.join(timeout=10)
+    assert not waiter.is_alive()
+
+
+def _run_python(code: str) -> str:
+    """The standard output of `code` run by a fresh interpreter that imports p3dk from src/."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = f"import sys\nsys.path.insert(0, {src!r})\n{code}"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs sched_setaffinity")
+def test_one_cpu_runs_every_chunk_in_process():
+    """Pinned to one CPU, a 3-chunk round trip never forks."""
+    code = """
+import os, random
+from p3dk import decrypt_stream, encrypt_stream
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+def fork():
+    raise AssertionError("forked on one CPU")
+os.fork = fork
+data = random.Random(23).randbytes(3 * 7776)
+assert decrypt_stream(encrypt_stream(data, bytes(31)), bytes(31)) == data
+print("round trip ok")
+"""
+    assert _run_python(code) == "round trip ok\n"
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+@pytest.mark.parametrize("sigchld", ("ignore", "reap"))
+def test_a_caller_that_reaps_its_own_children(sigchld):
+    """With SIGCHLD ignored or reaped by the caller's handler, 3 chunks succeed and fail as usual."""
+    code = f"""
+import io, os, random, signal
+from p3dk import cipher, decrypt_stream, encrypt_stream
+from p3dk.errors import IntegrityError
+def reap(signum, frame):
+    try:
+        while os.waitpid(-1, os.WNOHANG)[0]:
+            pass
+    except ChildProcessError:
+        pass
+signal.signal(signal.SIGCHLD, signal.SIG_IGN if {sigchld!r} == "ignore" else reap)
+forks, fork = [], os.fork
+os.fork = lambda: forks.append(1) or fork()
+key, data = bytes(31), random.Random(26).randbytes(3 * 7776)
+box = bytearray(encrypt_stream(data, key))
+assert decrypt_stream(bytes(box), key) == data
+box[14 + 300 * 93 + 50] ^= 4
+out = io.BytesIO()
+try:
+    decrypt_stream(bytes(box), key, out)
+    raise AssertionError("the bit flip in chunk 1 was accepted")
+except IntegrityError as exc:
+    assert str(exc).startswith("block 300 (container bytes 27914-28006): "), exc
+assert out.getvalue() == data[:7776]
+print(len(forks), cipher._may_fork(2))
+"""
+    assert _run_python(code) in ("3 True\n", "0 False\n")
 
 
 def test_stream_reads_from_the_current_position():

@@ -271,17 +271,21 @@ def test_cli_container_matches_encrypt_stream_property(data):
         check_cli_round_trip(Path(tmp), data)
 
 
+_FLIPPED_BLOCK = {"bitflip": 2 * CHUNK_BLOCKS, "bitflip_chunk1": CHUNK_BLOCKS}
+
+
 def _break(blob, how):
     """A container made undecryptable, or non-canonical, in its last chunk.
 
-    bitflip: one flipped bit in the first block of the last chunk.
+    bitflip: one flipped bit in the first block of the last chunk (of chunk 1,
+    which a forked child decrypts, for bitflip_chunk1).
     pad_bits, past_length: the last block re-encrypted with a pad bit, or a
     data bit past the recorded length, set.
     truncated: one byte short.  wrong_key: as is.
     """
-    if how == "bitflip":
+    if how in ("bitflip", "bitflip_chunk1"):
         blob = bytearray(blob)
-        blob[HEADER_BYTES + 2 * CHUNK_BLOCKS * STATE_BYTES + 50] ^= 0x04
+        blob[HEADER_BYTES + _FLIPPED_BLOCK[how] * STATE_BYTES + 50] ^= 0x04
         return bytes(blob)
     if how in ("pad_bits", "past_length"):
         ek = cipher.expand_key_for(KEY)
@@ -292,7 +296,9 @@ def _break(blob, how):
 
 
 @pytest.mark.parametrize("existing", (None, b"keep me"))
-@pytest.mark.parametrize("how", ("bitflip", "pad_bits", "past_length", "truncated", "wrong_key"))
+@pytest.mark.parametrize(
+    "how", ("bitflip", "bitflip_chunk1", "pad_bits", "past_length", "truncated", "wrong_key")
+)
 def test_failed_decrypt_leaves_no_output(tmp_path, how, existing):
     key_path, boxed, opened = tmp_path / "key", tmp_path / "box", tmp_path / "back"
     data = random.Random(3).randbytes(2 * CHUNK_BYTES + 100)  # three chunks
@@ -309,13 +315,13 @@ def test_failed_decrypt_leaves_no_output(tmp_path, how, existing):
         assert opened.read_bytes() == existing
 
 
-@pytest.mark.parametrize("how", ("bitflip", "past_length"))
+@pytest.mark.parametrize("how", ("bitflip", "bitflip_chunk1", "past_length"))
 def test_errors_name_the_block_and_its_bytes(tmp_path, capsys, how):
     """A failing block of a 3-chunk container is named, through the library and the CLI."""
     data = random.Random(3).randbytes(2 * CHUNK_BYTES + 100)
     box = _break(encrypt_stream(data, KEY), how)
     last = (len(box) - HEADER_BYTES) // STATE_BYTES - 1
-    block = 2 * CHUNK_BLOCKS if how == "bitflip" else last
+    block = _FLIPPED_BLOCK.get(how, last)
     start = HEADER_BYTES + block * STATE_BYTES
     where = f"block {block} (container bytes {start}-{start + STATE_BYTES - 1}): "
     with pytest.raises(IntegrityError, match="^" + re.escape(where)):
