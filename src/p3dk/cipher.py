@@ -21,7 +21,8 @@ plaintext bit length:
 
 The stream functions read and write CHUNK_BYTES of plaintext (CHUNK_BLOCKS
 blocks) at a time, so their memory does not grow with the input when they
-are given files; `_write_in_order` may split their chunks with one forked child.
+are given files; a stream of two chunks or more may share them with one forked
+child (`p3dk._twoproc`).
 
 Codebook mode leaks equal-block structure; this artifact makes no security
 claims (see README).
@@ -212,17 +213,20 @@ def _read_exact(src: BinaryIO, count: int, what: str) -> bytes:
     return data
 
 
-def _encrypt_chunk(data: bytes, ek: ExpandedKey) -> bytes:
-    """Encrypt a chunk, taking its bits BLOCK_BITS at a time, MSB first, from one integer."""
+def _encrypt_chunk(data: bytes, ek: ExpandedKey) -> bytearray:
+    """Encrypt a chunk, taking its bits BLOCK_BITS at a time, MSB first, from one integer.
+
+    The blocks go into one buffer of the final size, with no list of them beside it.
+    """
     value = int.from_bytes(data, "big")
     rest = 8 * len(data)
-    parts = []
-    while rest:
+    out = bytearray(STATE_BYTES * ((rest + BLOCK_BITS - 1) // BLOCK_BITS))
+    for start in range(0, len(out), STATE_BYTES):
         count = min(BLOCK_BITS, rest)
         rest -= count
         bits = (value >> rest) & ((1 << count) - 1)
-        parts.append(encrypt_block(pad_block(bits, count), ek))
-    return b"".join(parts)
+        out[start : start + STATE_BYTES] = encrypt_block(pad_block(bits, count), ek)
+    return out
 
 
 def _decrypt_chunk(payload: bytes, first: int, bit_len: int, ek: ExpandedKey) -> bytes:
@@ -245,92 +249,19 @@ def _decrypt_chunk(payload: bytes, first: int, bit_len: int, ek: ExpandedKey) ->
     return (value >> excess).to_bytes(nbits // 8, "big")
 
 
-def _may_fork(nchunks: int) -> bool:
-    """Two chunks or more, fork, two CPUs and no other thread (a fork can copy a held lock)."""
-    if nchunks < 2 or not hasattr(os, "fork"):
-        return False
-    try:
-        return len(os.sched_getaffinity(0)) >= 2 and len(os.listdir("/proc/self/task")) == 1
-    except (AttributeError, OSError):  # CPUs or threads cannot be counted here
-        return False
-
-
-def _send(fh: BinaryIO, message: bytes) -> None:
-    """Write a length-prefixed message to a pipe."""
-    fh.write(len(message).to_bytes(4, "big") + message)
-    fh.flush()
-
-
-def _receive(fh: BinaryIO) -> bytes:
-    """The next length-prefixed message from a pipe; RuntimeError if it closes before one."""
-    head = fh.read(4)
-    size = int.from_bytes(head, "big")
-    message = fh.read(size)
-    if len(head) < 4 or len(message) < size:
-        raise RuntimeError("the worker process ended before a whole message")
-    return message
-
-
 def _write_in_order(nchunks: int, read, work, write) -> None:
     """write(work(i, read(i))) for i in range(nchunks), in that order.
 
-    When _may_fork allows, a forked child computes the odd chunks with the key
-    schedule it inherited, while this process reads every chunk, computes the
-    even ones and writes all of them: it holds at most two chunks, the child
-    one.  A chunk the child fails on is computed again here, so its error is
-    raised exactly as on one process, and in stream order.  Closing the pipes
-    ends the child within one chunk, and it is reaped before this returns.
+    A stream of two chunks or more goes to p3dk._twoproc, imported only then,
+    which shares its chunks with one forked child when it can.
     """
-    fds, pid = (), None
-    try:
-        if _may_fork(nchunks):
-            fds = os.pipe()
-            fds += os.pipe()
-            pid = os.fork()
-    except OSError:
-        for fd in fds:
-            os.close(fd)
-    if pid is None:
-        for i in range(nchunks):
-            write(work(i, read(i)))
-        return
-    jobs_r, jobs_w, results_r, results_w = fds
-    os.close(jobs_w if pid == 0 else jobs_r)
-    os.close(results_r if pid == 0 else results_w)
-    if pid == 0:
-        # The child ends in os._exit: unwinding into the caller's frames could
-        # flush or remove the caller's files.  Frozen, its collector finalizes
-        # none of the parent's objects.
-        try:
-            import gc
+    if nchunks >= 2:
+        from . import _twoproc
 
-            gc.freeze()
-            inbox, outbox = open(jobs_r, "rb"), open(results_w, "wb")
-            for i in range(1, nchunks, 2):
-                data = _receive(inbox)
-                try:
-                    reply = b"=" + work(i, data)
-                except Exception:  # the parent computes the chunk again and raises
-                    reply = b"!"
-                _send(outbox, reply)
-        finally:
-            os._exit(0)
-    try:
-        with open(jobs_w, "wb") as to_child, open(results_r, "rb") as from_child:
-            for i in range(0, nchunks, 2):
-                chunk = read(i)
-                odd = read(i + 1) if i + 1 < nchunks else None
-                if odd is not None:
-                    _send(to_child, odd)
-                write(work(i, chunk))
-                if odd is not None:
-                    reply = _receive(from_child)
-                    write(reply[1:] if reply[:1] == b"=" else work(i + 1, odd))
-    finally:
-        try:
-            os.waitpid(pid, 0)
-        except ChildProcessError:  # the caller ignores SIGCHLD or reaps in its handler
-            pass
+        if _twoproc.run(nchunks, read, work, write):
+            return
+    for i in range(nchunks):
+        write(work(i, read(i)))
 
 
 def encrypt_stream(
@@ -413,9 +344,8 @@ def generate_master_key() -> bytes:
 
 
 def validate_master_key(kb: bytes) -> bytes:
-    """Check the key file rules: exactly 31 bytes, last 5 bits zero."""
-    if len(kb) != KEY_BYTES:
-        raise KeyFormatError(f"key must be {KEY_BYTES} bytes, got {len(kb)}")
+    """Check the key file rules: the length every master key needs, and the last 5 bits zero."""
+    _check_key_length(kb)
     if kb[-1] & _PAD_MASK:
         raise KeyFormatError("key tail bits 243..247 must be zero")
     return kb

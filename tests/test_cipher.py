@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 import threading
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 import kat_oracle
 import kat_vectors
-from p3dk import cipher, cube
+from p3dk import _twoproc, cipher, cube
 from p3dk.cipher import (
     BLOCK_BITS,
     STATE_BYTES,
@@ -293,7 +294,7 @@ def test_multi_chunk_stream_matches_oracle(size, monkeypatch):
     box = encrypt_stream(data, key)
     assert box == kat_oracle.encrypt_container(data, key)
     assert decrypt_stream(box, key) == data
-    assert len(forks) == (2 if size > cipher.CHUNK_BYTES and cipher._may_fork(2) else 0)
+    assert len(forks) == (2 if size > cipher.CHUNK_BYTES and _twoproc._may_fork(2) else 0)
 
 
 def _flip(box: bytes, *blocks: int) -> bytes:
@@ -320,15 +321,106 @@ def test_chunk_errors_are_raised_in_stream_order(monkeypatch):
     forked = _decrypt_error(in_chunk1, key, out)
     assert out.getvalue() == data[: cipher.CHUNK_BYTES]
     assert str(_decrypt_error(both, key)).startswith("block 10 (container bytes 944-1036): ")
-    monkeypatch.setattr(cipher, "_may_fork", lambda nchunks: False)
+    monkeypatch.setattr(_twoproc, "_may_fork", lambda nchunks: False)
     serial = _decrypt_error(in_chunk1, key)
     assert (type(forked), str(forked)) == (type(serial), str(serial))
     assert str(serial).startswith("block 300 (container bytes 27914-28006): ")
 
 
+@pytest.fixture(scope="module")
+def six_chunks():
+    gen = random.Random(27)
+    key, data = gen.randbytes(31), gen.randbytes(6 * cipher.CHUNK_BYTES - 100)
+    return key, data, encrypt_stream(data, key)
+
+
+@pytest.mark.parametrize("forked", (True, False), ids=("default", "one-process"))
+@pytest.mark.parametrize("k", range(6))
+def test_an_error_is_raised_at_its_chunks_turn(six_chunks, k, forked, monkeypatch):
+    """A bad chunk k raises after chunks 0..k-1 are written, alone or before bad chunks after it."""
+    if not forked:
+        monkeypatch.setattr(_twoproc, "_may_fork", lambda nchunks: False)
+    key, data, box = six_chunks
+    bad = [j * cipher.CHUNK_BLOCKS for j in range(k, 6)]
+    start = cipher.HEADER_BYTES + bad[0] * STATE_BYTES
+    for blocks in (bad[:1], bad):
+        out = io.BytesIO()
+        error = _decrypt_error(_flip(box, *blocks), key, out)
+        assert str(error).startswith(f"block {bad[0]} (container bytes {start}-{start + 92}): ")
+        assert out.getvalue() == data[: k * cipher.CHUNK_BYTES]
+
+
+def _run_stand_ins(nchunks: int, child_delay: float):
+    """Run _twoproc.run on stand-in chunks; record reads, writes, read-ahead and the parent's chunks."""
+    parent, reads, written, ahead, mine = os.getpid(), [], [], [], []
+
+    def read(i):
+        reads.append(i)
+        ahead.append(i + 1 - len(written))
+        return b"in %d" % i
+
+    def work(i, data):
+        if os.getpid() == parent:
+            mine.append(i)
+        else:
+            time.sleep(child_delay)
+        return data.replace(b"in", b"out")
+
+    assert _twoproc.run(nchunks, read, work, written.append)
+    return reads, written, max(ahead), mine
+
+
+_needs_fork = pytest.mark.skipif(
+    not _twoproc._may_fork(2), reason="this process does not fork (one CPU, no fork, or other threads)"
+)
+
+
+@_needs_fork
+@pytest.mark.parametrize("child_delay", (0.0, 0.05))
+def test_dispatch_contract(child_delay):
+    """Reads and writes go in chunk order, at most AHEAD apart; chunk 0 and a slow child's excess stay here."""
+    reads, written, ahead, mine = _run_stand_ins(12, child_delay)
+    assert reads == list(range(12))
+    assert written == [b"out %d" % i for i in range(12)]
+    assert ahead <= _twoproc.AHEAD
+    assert mine[0] == 0 and mine == sorted(mine)
+    if child_delay:
+        assert ahead == _twoproc.AHEAD and len(mine) > 6
+
+
+@_needs_fork
+def test_pipes_too_small_for_the_queue_leave_one_process(monkeypatch):
+    """Where a pipe could fill up, run forks nothing, reads nothing and closes its pipes."""
+    monkeypatch.setattr(_twoproc, "_PIPE_BYTES", 1 << 30)
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+    fds = len(os.listdir("/proc/self/fd"))
+    assert not _twoproc.run(3, pytest.fail, pytest.fail, pytest.fail)
+    assert len(os.listdir("/proc/self/fd")) == fds
+
+
+@_needs_fork
+def test_dispatch_raises_a_read_error_at_its_turn():
+    """A read that fails while a slow child holds earlier chunks raises once they are written."""
+    parent, written = os.getpid(), []
+
+    def read(i):
+        if i == 5:
+            raise ValueError("cannot read chunk 5")
+        return b"%d" % i
+
+    def work(i, data):
+        if os.getpid() != parent:
+            time.sleep(0.05)
+        return data
+
+    with pytest.raises(ValueError, match="^cannot read chunk 5$"):
+        _twoproc.run(12, read, work, written.append)
+    assert written == [b"%d" % i for i in range(5)]
+
+
 def test_a_chunk_the_child_fails_on_is_computed_again(monkeypatch):
     """A fault only the child meets is recovered from; a child that dies raises RuntimeError."""
-    if not cipher._may_fork(2):
+    if not _twoproc._may_fork(2):
         pytest.skip("this process does not fork (one CPU, no fork, or other threads)")
     parent, encrypt, fault = os.getpid(), cipher.encrypt_block, [lambda: int("boom")]
 
@@ -422,7 +514,7 @@ def test_a_caller_that_reaps_its_own_children(sigchld):
     """With SIGCHLD ignored or reaped by the caller's handler, 3 chunks succeed and fail as usual."""
     code = f"""
 import io, os, random, signal
-from p3dk import cipher, decrypt_stream, encrypt_stream
+from p3dk import _twoproc, decrypt_stream, encrypt_stream
 from p3dk.errors import IntegrityError
 def reap(signum, frame):
     try:
@@ -444,7 +536,7 @@ try:
 except IntegrityError as exc:
     assert str(exc).startswith("block 300 (container bytes 27914-28006): "), exc
 assert out.getvalue() == data[:7776]
-print(len(forks), cipher._may_fork(2))
+print(len(forks), _twoproc._may_fork(2))
 """
     assert _run_python(code) in ("3 True\n", "0 False\n")
 
@@ -488,7 +580,7 @@ def test_decrypt_stream_header_errors():
 def test_validate_master_key():
     good = bytes(30) + b"\x20"
     assert validate_master_key(good) == good
-    with pytest.raises(KeyFormatError):
+    with pytest.raises(KeyFormatError, match="^master key must be 31 bytes, got 30$"):
         validate_master_key(bytes(30))
     with pytest.raises(KeyFormatError):
         validate_master_key(bytes(30) + b"\x01")

@@ -228,17 +228,25 @@ def test_console_entry_point_help():
 def test_import_loads_no_unused_modules():
     """`import p3dk, p3dk.cli` leaves the heavy modules encryption does not need unloaded.
 
-    -S keeps site .pth files from adding their own imports to the result.
+    The two-process module stays unloaded through a one-chunk round trip too,
+    and a two-chunk round trip loads it.  -S keeps site .pth files from
+    adding their own imports to the result.
     """
-    heavy = ["dataclasses", "inspect", "secrets", "hmac", "hashlib", "statistics", "random", "p3dk.bench"]
+    heavy = [
+        "dataclasses", "inspect", "secrets", "hmac", "hashlib", "statistics", "random",
+        "p3dk.bench", "p3dk._twoproc",
+    ]
     src = Path(__file__).resolve().parents[1] / "src"
     code = (
         f"import sys; sys.path.insert(0, {str(src)!r}); import p3dk, p3dk.cli; "
-        f"print([m for m in {heavy!r} if m in sys.modules])"
+        f"unused = lambda: [m for m in {heavy!r} if m in sys.modules]; print(unused()); "
+        "key, size = bytes(31), p3dk.cipher.CHUNK_BYTES; "
+        "trip = lambda n: p3dk.decrypt_stream(p3dk.encrypt_stream(bytes(n), key), key) == bytes(n); "
+        "print(trip(size), unused()); print(trip(size + 1), unused())"
     )
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.splitlines() == ["[]", "True []", "True ['p3dk._twoproc']"]
 
 
 def crypt(verb, key_path, src, dst):
@@ -380,7 +388,8 @@ def test_cli_memory_does_not_grow_with_file_size(tmp_path, monkeypatch):
     """
     monkeypatch.setattr(cipher, "encrypt_block", lambda p31, ek: p31 * 3)
     monkeypatch.setattr(cipher, "decrypt_block", lambda c93, ek: c93[:31])
-    check_cli_round_trip(tmp_path, b"warm")  # builds the key's S-box and fills lazy caches
+    # Builds the key's S-box and fills lazy caches; two chunks also import p3dk._twoproc.
+    check_cli_round_trip(tmp_path, bytes(CHUNK_BYTES + 1))
     key_path, plain, boxed, opened = (tmp_path / name for name in ("key", "plain", "box", "back"))
     plain.write_bytes(random.Random(4).randbytes(2 * 1024 * 1024))
     tracemalloc.start()
