@@ -1,10 +1,10 @@
-"""Benchmark harness: timing sweeps, a diffusion metric, CSV/SVG reports.
+"""Benchmark harness: timing sweeps, a diffusion metric, CSV and SVG writers.
 
 Three timing experiments (encryption time vs file size, table-rotation time
 vs rotation count, per-message setup time vs input bit length) plus an
 avalanche statistic.  All timings use the monotonic clock and time the
 library as it runs: a multi-chunk `encrypt_stream` in `bench_filesize` runs
-on two processes where p3dk.cipher forks a child.  They discard warmup
+on two processes where p3dk._twoproc forks a child.  They discard warmup
 passes and report the median over trials; medians resist scheduler noise
 better than means.  Absolute values are hardware-bound, so tests assert
 shapes (monotonicity, linear fit), never milliseconds.  Reference timings
@@ -278,39 +278,6 @@ def emit_csv(report: BenchReport, path: str) -> None:
             fh.write("\n".join(lines) + "\n")
     except OSError as exc:
         raise IoError(f"cannot write CSV to {path}: {exc}") from None
-
-
-def read_csv(path: str) -> BenchReport:
-    """Parse emit_csv output back into a report (rows round-trip exactly)."""
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise IoError(f"cannot read CSV from {path}: {exc}") from None
-    experiment = ""
-    metadata = {}
-    rows = []
-    unit = ""
-    saw_header = False
-    for line in raw.splitlines():
-        if not line.strip():
-            continue
-        if line.startswith("#"):
-            key, _, value = line[1:].partition(":")
-            key = key.strip()
-            if key == "experiment":
-                experiment = value.strip()
-            else:
-                metadata[key] = value.strip()
-            continue
-        if not saw_header:
-            if line != "label,value,unit":
-                raise IoError(f"unexpected CSV header {line!r} in {path}")
-            saw_header = True
-            continue
-        label, value, unit = line.split(",")
-        rows.append((label, float(value)))
-    return BenchReport(experiment, unit, rows, metadata)
 
 
 def emit_svg(report: BenchReport, path: str) -> None:

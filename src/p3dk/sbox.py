@@ -13,7 +13,8 @@ of each holding its own copies.  rotate() deliberately performs one full
 table pass per unit so its cost grows linearly with the rotation count.
 
 sub_state and inv_sub_state take the cipher state as one 744-bit int and
-look up its 62 triples, the top 12 bits first, in the tables.
+look up its 62 triples, the top 12 bits first, in the forward or the inverse
+table; they share one loop and differ only in the table they pass it.
 """
 
 from typing import NamedTuple
@@ -86,31 +87,24 @@ def rotate(box: SBox3D, count: int) -> SBox3D:
     return SBox3D((box.rotation + count) % ROTATIONS, forward, inverse)
 
 
-def _state_error(state: int) -> LengthError:
-    got = "a negative int" if state < 0 else f"{state.bit_length()} bits"
-    return LengthError(f"state must be an int in [0, 2**{_STATE_BITS}), got {got}")
+def _substitute(table: tuple[int, ...], state: int) -> int:
+    if not 0 <= state < _STATE_LIMIT:
+        got = "a negative int" if state < 0 else f"{state.bit_length()} bits"
+        raise LengthError(f"state must be an int in [0, 2**{_STATE_BITS}), got {got}")
+    out = 0
+    for shift in _TRIPLE_SHIFTS:
+        out = (out << 12) | table[(state >> shift) & 0xFFF]
+    return out
 
 
 def sub_state(box: SBox3D, state: int) -> int:
     """Substitute all 62 nibble triples of a 744-bit state; an int outside [0, 2**744) raises."""
-    if not 0 <= state < _STATE_LIMIT:
-        raise _state_error(state)
-    table = box.forward
-    out = 0
-    for shift in _TRIPLE_SHIFTS:
-        out = (out << 12) | table[(state >> shift) & 0xFFF]
-    return out
+    return _substitute(box.forward, state)
 
 
 def inv_sub_state(box: SBox3D, state: int) -> int:
     """Inverse of sub_state."""
-    if not 0 <= state < _STATE_LIMIT:
-        raise _state_error(state)
-    table = box.inverse
-    out = 0
-    for shift in _TRIPLE_SHIFTS:
-        out = (out << 12) | table[(state >> shift) & 0xFFF]
-    return out
+    return _substitute(box.inverse, state)
 
 
 def dump_sbox(box: SBox3D) -> str:

@@ -209,8 +209,10 @@ def test_criterion_09_filesize_and_setup_timing_shape(tmp_path):
         svg_path = tmp_path / f"{report.experiment}.svg"
         bench.emit_csv(report, str(csv_path))
         bench.emit_svg(report, str(svg_path))
-        parsed = bench.read_csv(str(csv_path))
-        artifacts_ok = artifacts_ok and parsed.rows == report.rows
+        lines = csv_path.read_text(encoding="ascii").splitlines()
+        data = lines[lines.index("label,value,unit") + 1 :]
+        parsed_rows = [(label, float(value)) for label, value, _ in (line.split(",") for line in data)]
+        artifacts_ok = artifacts_ok and parsed_rows == report.rows
         artifacts_ok = artifacts_ok and svg_path.read_text().startswith("<svg")
 
     ok = sizes_monotonic and setup_monotonic and artifacts_ok

@@ -9,7 +9,6 @@ from p3dk.bench import (
     bench_sboxgen,
     emit_csv,
     emit_svg,
-    read_csv,
 )
 from p3dk.errors import IoError, UsageError
 
@@ -106,11 +105,14 @@ def test_csv_round_trip(tmp_path):
     report = bench_rotations(3, trials=1)
     path = tmp_path / "rot.csv"
     emit_csv(report, str(path))
-    parsed = read_csv(str(path))
-    assert parsed.rows == report.rows
-    assert parsed.experiment == report.experiment
-    assert parsed.unit == report.unit
-    assert parsed.metadata["trials"] == report.metadata["trials"]
+    lines = path.read_text(encoding="ascii").splitlines()
+    header = lines.index("label,value,unit")
+    comments = dict(line[2:].split(": ", 1) for line in lines[:header])
+    rows = [line.split(",") for line in lines[header + 1 :]]
+    assert [(label, float(value)) for label, value, _ in rows] == report.rows
+    assert comments["experiment"] == report.experiment
+    assert {unit for _, _, unit in rows} == {report.unit}
+    assert comments["trials"] == report.metadata["trials"]
 
 
 def test_csv_layout(tmp_path):
