@@ -30,6 +30,9 @@ AHEAD = 5
 # fit a pipe this large and neither process ever waits for room in one, which
 # could leave each waiting for the other.
 _PIPE_BYTES = 65536
+# What either process raises when the other ends mid-stream: an OSError, so
+# the CLI reports it as an I/O failure.
+_ENDED = "the worker process ended before a whole message"
 
 
 def _may_fork(nchunks: int) -> bool:
@@ -43,14 +46,14 @@ def _may_fork(nchunks: int) -> bool:
 
 
 def _send(fd: int, head: bytes, data: bytes) -> None:
-    """Write `head`, the length of `data` and `data` to a pipe; RuntimeError if its reader has gone."""
+    """Write `head`, the length of `data` and `data` to a pipe; BrokenPipeError if its reader has gone."""
     try:
         for part in (head + len(data).to_bytes(4, "big"), data):
             view = memoryview(part)
             while view:
                 view = view[os.write(fd, view) :]
     except BrokenPipeError:
-        raise RuntimeError("the worker process ended before a whole message") from None
+        raise BrokenPipeError(_ENDED) from None
 
 
 def _read(fd: int, count: int) -> bytearray:
@@ -68,12 +71,12 @@ def _read(fd: int, count: int) -> bytearray:
 
 
 def _receive(fd: int, head_bytes: int) -> tuple[bytearray, bytearray]:
-    """The head and the data of the next message _send wrote; RuntimeError if the pipe closes first."""
+    """The head and the data of the next message _send wrote; BrokenPipeError if the pipe closes first."""
     head = _read(fd, head_bytes + 4)
     size = int.from_bytes(head[head_bytes:], "big")
     data = _read(fd, size)
     if len(head) < head_bytes + 4 or len(data) < size:
-        raise RuntimeError("the worker process ended before a whole message")
+        raise BrokenPipeError(_ENDED)
     return head[:head_bytes], data
 
 

@@ -28,7 +28,7 @@ from .cipher import (
     expand_key_for,
     pad_block,
 )
-from .errors import IoError, UsageError
+from .errors import UsageError
 from .rng import next_below, seed_from_bytes
 from .sbox import ROTATIONS, build_sbox, rotate
 
@@ -273,11 +273,8 @@ def emit_csv(report: BenchReport, path: str) -> None:
     lines.append("label,value,unit")
     for label, value in report.rows:
         lines.append(f"{label},{value!r},{report.unit}")
-    try:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise IoError(f"cannot write CSV to {path}: {exc}") from None
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def emit_svg(report: BenchReport, path: str) -> None:
@@ -336,8 +333,5 @@ def emit_svg(report: BenchReport, path: str) -> None:
         f"{y_hi:.6g} {report.unit} max</text>"
     )
     parts.append("</svg>")
-    try:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write("\n".join(parts) + "\n")
-    except OSError as exc:
-        raise IoError(f"cannot write SVG to {path}: {exc}") from None
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write("\n".join(parts) + "\n")

@@ -25,14 +25,13 @@ from .cube import build_cube, dump_cube
 from .errors import (
     FormatError,
     IntegrityError,
-    IoError,
     KeyFormatError,
     LengthError,
     RangeError,
     SeedError,
     UsageError,
 )
-from .sbox import build_sbox, dump_sbox
+from .sbox import ROTATIONS, build_sbox, dump_sbox
 
 _EXIT_USAGE = 1
 _EXIT_IO = 2
@@ -70,28 +69,23 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="run a timing experiment")
     p.set_defaults(handler=_cmd_bench)
     bench_sub = p.add_subparsers(dest="experiment", required=True)
+    shared = argparse.ArgumentParser(add_help=False)  # the flags every experiment takes
+    shared.add_argument("--trials", type=int)
+    shared.add_argument("--out", required=True, help="CSV path")
+    shared.add_argument("--svg", help="optional SVG chart path")
 
-    b = bench_sub.add_parser("filesize", help="encryption time vs file size")
+    b = bench_sub.add_parser("filesize", parents=[shared], help="encryption time vs file size")
     b.add_argument("--sizes", help="comma-separated sizes in KB")
-    b.add_argument("--trials", type=int)
-    b.add_argument("--out", required=True, help="CSV path")
-    b.add_argument("--svg", help="optional SVG chart path")
     b.set_defaults(measure=lambda bench, a: bench.bench_filesize(
         _parse_int_list(a.sizes, bench.DEFAULT_SIZES_KB), trials=a.trials
     ))
 
-    b = bench_sub.add_parser("rotations", help="table time vs rotation count")
+    b = bench_sub.add_parser("rotations", parents=[shared], help="table time vs rotation count")
     b.add_argument("--max-count", type=int, default=16)
-    b.add_argument("--trials", type=int)
-    b.add_argument("--out", required=True, help="CSV path")
-    b.add_argument("--svg", help="optional SVG chart path")
     b.set_defaults(measure=lambda bench, a: bench.bench_rotations(a.max_count, trials=a.trials))
 
-    b = bench_sub.add_parser("sboxgen", help="setup time vs input bit length")
+    b = bench_sub.add_parser("sboxgen", parents=[shared], help="setup time vs input bit length")
     b.add_argument("--sizes", help="comma-separated bit lengths")
-    b.add_argument("--trials", type=int)
-    b.add_argument("--out", required=True, help="CSV path")
-    b.add_argument("--svg", help="optional SVG chart path")
     b.set_defaults(measure=lambda bench, a: bench.bench_sboxgen(
         _parse_int_list(a.sizes, bench.DEFAULT_BIT_LENGTHS), trials=a.trials
     ))
@@ -105,7 +99,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=lambda args: _print(dump_cube(build_cube())))
 
     p = sub.add_parser("dump-sbox", help="print a substitution table")
-    p.add_argument("--rotation", type=int, required=True, help="rotation in [0, 15]")
+    p.add_argument(
+        "--rotation", type=int, choices=range(ROTATIONS), metavar="R", required=True,
+        help=f"rotation in [0, {ROTATIONS - 1}]",
+    )
     p.set_defaults(handler=lambda args: _print(dump_sbox(build_sbox(args.rotation))))
 
     return parser
@@ -206,7 +203,7 @@ def run(argv) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return _EXIT_USAGE
-    except (IoError, OSError) as exc:
+    except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return _EXIT_IO
     except (FormatError, IntegrityError, RangeError, LengthError) as exc:

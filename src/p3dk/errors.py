@@ -35,7 +35,3 @@ class KeyFormatError(P3DKError):
 
 class UsageError(P3DKError):
     """Invalid arguments to a benchmark or CLI operation."""
-
-
-class IoError(P3DKError):
-    """A report could not be written to its destination path."""

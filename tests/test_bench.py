@@ -10,7 +10,7 @@ from p3dk.bench import (
     emit_csv,
     emit_svg,
 )
-from p3dk.errors import IoError, UsageError
+from p3dk.errors import UsageError
 
 
 def test_filesize_single_row():
@@ -130,7 +130,7 @@ def test_csv_layout(tmp_path):
 
 def test_csv_unwritable_path():
     report = bench_rotations(1, trials=1)
-    with pytest.raises(IoError):
+    with pytest.raises(FileNotFoundError):
         emit_csv(report, "/nonexistent-dir/report.csv")
 
 
@@ -147,5 +147,5 @@ def test_svg_output(tmp_path):
 
 def test_svg_unwritable_path():
     report = bench_rotations(1, trials=1)
-    with pytest.raises(IoError):
+    with pytest.raises(FileNotFoundError):
         emit_svg(report, "/nonexistent-dir/report.svg")

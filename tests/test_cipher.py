@@ -419,7 +419,7 @@ def test_dispatch_raises_a_read_error_at_its_turn():
 
 
 def test_a_chunk_the_child_fails_on_is_computed_again(monkeypatch):
-    """A fault only the child meets is recovered from; a child that dies raises RuntimeError."""
+    """A fault only the child meets is recovered from; a child that dies raises BrokenPipeError."""
     if not _twoproc._may_fork(2):
         pytest.skip("this process does not fork (one CPU, no fork, or other threads)")
     parent, encrypt, fault = os.getpid(), cipher.encrypt_block, [lambda: int("boom")]
@@ -432,7 +432,7 @@ def test_a_chunk_the_child_fails_on_is_computed_again(monkeypatch):
     monkeypatch.setattr(cipher, "encrypt_block", encrypt_block)
     assert encrypt_stream(data, bytes(31)) == box
     fault[0] = lambda: os._exit(1)
-    with pytest.raises(RuntimeError, match="^the worker process ended before a whole message$"):
+    with pytest.raises(BrokenPipeError, match="^the worker process ended before a whole message$"):
         encrypt_stream(data, bytes(31))
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from p3dk import cipher, cube, sbox
+from p3dk import _twoproc, cipher, cube, sbox
 from p3dk.cipher import CHUNK_BLOCKS, CHUNK_BYTES, HEADER_BYTES, STATE_BYTES, encrypt_stream
 from p3dk.cli import run
 from p3dk.errors import IntegrityError, RangeError
@@ -212,8 +212,8 @@ def test_dump_sbox_output(capsys):
 
 
 def test_dump_sbox_rotation_out_of_range(capsys):
-    assert run(["dump-sbox", "--rotation", "16"]) == 3
-    assert "format error" in capsys.readouterr().err
+    assert run(["dump-sbox", "--rotation", "16"]) == 1
+    assert "usage error" in capsys.readouterr().err
 
 
 def test_console_entry_point_help():
@@ -321,6 +321,28 @@ def test_failed_decrypt_leaves_no_output(tmp_path, how, existing):
     assert sorted(p.name for p in tmp_path.iterdir()) == before
     if existing is not None:
         assert opened.read_bytes() == existing
+
+
+def test_a_worker_that_dies_is_an_io_error(tmp_path, capsys, monkeypatch):
+    """A forked worker that ends mid-stream makes encrypt exit 2 with one line and no files."""
+    if not _twoproc._may_fork(2):
+        pytest.skip("this process does not fork (one CPU, no fork, or other threads)")
+    parent, encrypt = os.getpid(), cipher.encrypt_block
+
+    def encrypt_block(p31, ek):
+        return encrypt(p31, ek) if os.getpid() == parent else os._exit(1)
+
+    monkeypatch.setattr(cipher, "encrypt_block", encrypt_block)
+    key_path, plain, boxed = tmp_path / "key", tmp_path / "plain", tmp_path / "box"
+    key_path.write_bytes(KEY)
+    plain.write_bytes(random.Random(3).randbytes(2 * CHUNK_BYTES + 100))  # three chunks
+    capsys.readouterr()
+    assert crypt("encrypt", key_path, plain, boxed) == 2
+    assert capsys.readouterr().err == "i/o error: the worker process ended before a whole message\n"
+    assert not boxed.exists()
+    assert not list(tmp_path.glob("*.tmp"))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("how", ("bitflip", "bitflip_chunk1", "past_length"))
