@@ -1,4 +1,4 @@
-"""Benchmark harness: timing sweeps, a diffusion metric, CSV and SVG writers.
+"""Benchmark harness: timing sweeps, a diffusion metric, CSV and SVG renderers.
 
 Three timing experiments (encryption time vs file size, table-rotation time
 vs rotation count, per-message setup time vs input bit length) plus an
@@ -265,20 +265,19 @@ def _ref_series(series: dict) -> str:
     return ";".join(f"{k}={v}" for k, v in sorted(series.items()))
 
 
-def emit_csv(report: BenchReport, path: str) -> None:
-    """Write the report as CSV: `#` metadata comments, then label,value,unit."""
+def render_csv(report: BenchReport) -> str:
+    """The report as CSV text: `#` metadata comments, then label,value,unit."""
     lines = [f"# experiment: {report.experiment}"]
     for key, value in report.metadata.items():
         lines.append(f"# {key}: {value}")
     lines.append("label,value,unit")
     for label, value in report.rows:
         lines.append(f"{label},{value!r},{report.unit}")
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
-def emit_svg(report: BenchReport, path: str) -> None:
-    """Render the rows as a single-polyline SVG chart with axis labels."""
+def render_svg(report: BenchReport) -> str:
+    """The rows as a single-polyline SVG chart with axis labels."""
     width, height, margin = 640, 400, 60
     xs = []
     for label, _ in report.rows:
@@ -333,5 +332,4 @@ def emit_svg(report: BenchReport, path: str) -> None:
         f"{y_hi:.6g} {report.unit} max</text>"
     )
     parts.append("</svg>")
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(parts) + "\n")
+    return "\n".join(parts) + "\n"

@@ -4,9 +4,10 @@ Exit codes: 0 success, 1 usage, 2 I/O, 3 format or integrity failure
 (bad container magic, corrupted triples, impossible depth), 4 key file
 problems.  Every failure prints a one-line diagnostic to stderr.  All
 binary outputs go through a required --out flag, never to the terminal.
-encrypt and decrypt stream their files in fixed chunks and write to a temp
-file beside --out that replaces it only on success, so a failed run leaves
-no partial output.
+Each --out and --svg goes to a temp file beside it that replaces it only
+on success, so a failed run leaves no partial output (an I/O error names
+the temp path); keygen alone never overwrites, opening --out exclusively.
+encrypt and decrypt stream in fixed chunks; a bench --svg must not be --out.
 """
 
 import argparse
@@ -149,6 +150,14 @@ def _replacing(path: str):
         raise
 
 
+def _write_reports(texts: dict[str, str]) -> None:
+    """Write each path's ASCII text; every temp file is opened before any is renamed."""
+    with contextlib.ExitStack() as stack:
+        files = [(stack.enter_context(_replacing(path)), text) for path, text in texts.items()]
+        for fh, text in files:
+            fh.write(text.encode("ascii"))
+
+
 def _cmd_crypt(args) -> int:
     if os.path.realpath(args.out) in (os.path.realpath(args.infile), os.path.realpath(args.key)):
         raise UsageError("--out must differ from --in and --key; refusing to overwrite them")
@@ -166,15 +175,16 @@ def _cmd_bench(args) -> int:
     # (bench loads statistics and random).
     from . import bench
 
+    if args.svg and os.path.realpath(args.svg) == os.path.realpath(args.out):
+        raise UsageError("--svg must differ from --out; refusing to write both to one file")
     if args.trials is None:
         args.trials = bench.DEFAULT_TRIALS
     report = args.measure(bench, args)
-    bench.emit_csv(report, args.out)
-    written = args.out
+    texts = {args.out: bench.render_csv(report)}
     if args.svg:
-        bench.emit_svg(report, args.svg)
-        written += f" and {args.svg}"
-    print(f"{report.experiment}: {len(report.rows)} rows, wrote {written}")
+        texts[args.svg] = bench.render_svg(report)
+    _write_reports(texts)
+    print(f"{report.experiment}: {len(report.rows)} rows, wrote {' and '.join(texts)}")
     return 0
 
 
@@ -186,7 +196,7 @@ def _cmd_avalanche(args) -> int:
     keys = max(1, args.trials // 100)
     flips = math.ceil(args.trials / keys)
     report = bench.avalanche(keys, flips)
-    bench.emit_csv(report, args.out)
+    _write_reports({args.out: bench.render_csv(report)})
     stats = dict(report.rows)
     print(
         f"avalanche over {report.metadata['trials']} flips: "

@@ -194,7 +194,7 @@ def test_criterion_08_rotation_timing_shape():
     )
 
 
-def test_criterion_09_filesize_and_setup_timing_shape(tmp_path):
+def test_criterion_09_filesize_and_setup_timing_shape():
     size_report = bench.bench_filesize(trials=5)
     size_values = [value for _, value in size_report.rows]
     sizes_monotonic = all(a <= b for a, b in zip(size_values, size_values[1:]))
@@ -205,15 +205,11 @@ def test_criterion_09_filesize_and_setup_timing_shape(tmp_path):
 
     artifacts_ok = True
     for report in (size_report, setup_report):
-        csv_path = tmp_path / f"{report.experiment}.csv"
-        svg_path = tmp_path / f"{report.experiment}.svg"
-        bench.emit_csv(report, str(csv_path))
-        bench.emit_svg(report, str(svg_path))
-        lines = csv_path.read_text(encoding="ascii").splitlines()
+        lines = bench.render_csv(report).splitlines()
         data = lines[lines.index("label,value,unit") + 1 :]
         parsed_rows = [(label, float(value)) for label, value, _ in (line.split(",") for line in data)]
         artifacts_ok = artifacts_ok and parsed_rows == report.rows
-        artifacts_ok = artifacts_ok and svg_path.read_text().startswith("<svg")
+        artifacts_ok = artifacts_ok and bench.render_svg(report).startswith("<svg")
 
     ok = sizes_monotonic and setup_monotonic and artifacts_ok
     size_series = ", ".join(f"{l}KB={v:.2f}s" for l, v in size_report.rows)

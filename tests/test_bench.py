@@ -7,8 +7,8 @@ from p3dk.bench import (
     bench_filesize,
     bench_rotations,
     bench_sboxgen,
-    emit_csv,
-    emit_svg,
+    render_csv,
+    render_svg,
 )
 from p3dk.errors import UsageError
 
@@ -101,11 +101,9 @@ def test_avalanche_needs_two_flips():
     assert avalanche(1, 2).metadata["trials"] == "2"
 
 
-def test_csv_round_trip(tmp_path):
+def test_csv_round_trip():
     report = bench_rotations(3, trials=1)
-    path = tmp_path / "rot.csv"
-    emit_csv(report, str(path))
-    lines = path.read_text(encoding="ascii").splitlines()
+    lines = render_csv(report).splitlines()
     header = lines.index("label,value,unit")
     comments = dict(line[2:].split(": ", 1) for line in lines[:header])
     rows = [line.split(",") for line in lines[header + 1 :]]
@@ -115,11 +113,9 @@ def test_csv_round_trip(tmp_path):
     assert comments["trials"] == report.metadata["trials"]
 
 
-def test_csv_layout(tmp_path):
+def test_csv_layout():
     report = bench_filesize([1], trials=1)
-    path = tmp_path / "one.csv"
-    emit_csv(report, str(path))
-    lines = path.read_text().strip().splitlines()
+    lines = render_csv(report).strip().splitlines()
     comments = [line for line in lines if line.startswith("#")]
     data = [line for line in lines if not line.startswith("#")]
     assert len(comments) >= 1
@@ -128,24 +124,10 @@ def test_csv_layout(tmp_path):
     assert data[1].endswith(",s")
 
 
-def test_csv_unwritable_path():
-    report = bench_rotations(1, trials=1)
-    with pytest.raises(FileNotFoundError):
-        emit_csv(report, "/nonexistent-dir/report.csv")
-
-
-def test_svg_output(tmp_path):
+def test_svg_output():
     report = bench_rotations(3, trials=1)
-    path = tmp_path / "rot.svg"
-    emit_svg(report, str(path))
-    text = path.read_text()
+    text = render_svg(report)
     assert text.startswith("<svg")
     assert "<polyline" in text
     assert "rotations" in text
     assert text.rstrip().endswith("</svg>")
-
-
-def test_svg_unwritable_path():
-    report = bench_rotations(1, trials=1)
-    with pytest.raises(FileNotFoundError):
-        emit_svg(report, "/nonexistent-dir/report.svg")

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from p3dk import _twoproc, cipher, cube, sbox
+import test_structure
+from p3dk import _twoproc, bench, cipher, cube
 from p3dk.cipher import CHUNK_BLOCKS, CHUNK_BYTES, HEADER_BYTES, STATE_BYTES, encrypt_stream
 from p3dk.cli import run
 from p3dk.errors import IntegrityError, RangeError
@@ -161,6 +162,36 @@ def test_bench_subcommand_writes_reports(tmp_path):
     assert svg_path.read_text().startswith("<svg")
 
 
+@pytest.mark.parametrize("svg", ["missing/x.svg", "adir"])
+@pytest.mark.parametrize("before", [None, b"an earlier report\n"], ids=["no-out", "old-out"])
+def test_bench_failure_leaves_out_as_it_was(tmp_path, monkeypatch, capsys, svg, before):
+    """An --svg that cannot be opened, or cannot be renamed over, changes no file."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "adir").mkdir()
+    if before is not None:
+        (tmp_path / "ok.csv").write_bytes(before)
+    code = run(["bench", "rotations", "--max-count", "1", "--trials", "1", "--out", "ok.csv", "--svg", svg])
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("i/o error: ")
+    assert sorted(os.listdir(tmp_path)) == (["adir"] if before is None else ["adir", "ok.csv"])
+    assert os.listdir(tmp_path / "adir") == []
+    if before is not None:
+        assert (tmp_path / "ok.csv").read_bytes() == before
+
+
+def test_bench_refuses_svg_that_is_out(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(bench, "bench_rotations", lambda *a, **k: pytest.fail("measured"))
+    code = run(["bench", "rotations", "--trials", "1", "--out", "same.out", "--svg", "./same.out"])
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "usage error: --svg must differ from --out; refusing to write both to one file\n"
+    assert os.listdir(tmp_path) == []
+
+
 def test_bench_filesize_with_custom_sizes(tmp_path):
     csv_path = tmp_path / "f.csv"
     code = run(["bench", "filesize", "--sizes", "1,2", "--trials", "1", "--out", str(csv_path)])
@@ -195,6 +226,16 @@ def test_avalanche_needs_two_flips(tmp_path, capsys):
     assert run(["avalanche", "--trials", "1", "--out", str(tmp_path / "a.csv")]) == 1
     assert "usage error" in capsys.readouterr().err
     assert not (tmp_path / "a.csv").exists()
+
+
+def test_avalanche_unwritable_out_leaves_no_temp_file(tmp_path, capsys):
+    """An --out that is a directory fails at the rename; the temp file is removed."""
+    out_dir = tmp_path / "a.csv"
+    out_dir.mkdir()
+    assert run(["avalanche", "--trials", "2", "--out", str(out_dir)]) == 2
+    assert capsys.readouterr().err.startswith("i/o error: ")
+    assert os.listdir(tmp_path) == ["a.csv"]
+    assert os.listdir(out_dir) == []
 
 
 def test_dump_cube_output(capsys):
@@ -364,18 +405,6 @@ def test_errors_name_the_block_and_its_bytes(tmp_path, capsys, how):
     assert f"format error: {where}" in capsys.readouterr().err
 
 
-def _encrypt_state(encoded, ek):
-    """The rounds of encrypt_block over a 93-byte state that is already cube-encoded."""
-    box = sbox.build_sbox(ek.sbox_rotation)
-    state = int.from_bytes(encoded, "big") ^ ek.round_keys[0]
-    for r in range(1, cipher.ROUNDS + 1):
-        state = cipher.shift_rows(cipher.sub_state(box, state))
-        if r % 2 == 0:
-            state = cipher.mix_columns(state)
-        state ^= ek.round_keys[r]
-    return state.to_bytes(STATE_BYTES, "big")
-
-
 def test_triple_no_byte_encodes_to_is_rejected(tmp_path, capsys):
     """A one-block container whose decrypted state holds triple 0 = "88u" is refused.
 
@@ -386,9 +415,10 @@ def test_triple_no_byte_encodes_to_is_rejected(tmp_path, capsys):
     message = bytes([109]) + random.Random(5).randbytes(29)
     encoded = cube.encode_block(message + bytes(1))
     assert encoded[:3] == b"74N"
-    box = encrypt_stream(message, KEY)[:HEADER_BYTES] + _encrypt_state(
-        b"88u" + encoded[3:], cipher.expand_key_for(KEY)
-    )
+    state = int.from_bytes(b"88u" + encoded[3:], "big")
+    box = encrypt_stream(message, KEY)[:HEADER_BYTES] + test_structure._rounds(
+        state, cipher.expand_key_for(KEY)
+    ).to_bytes(STATE_BYTES, "big")
     where = "block 0 (container bytes 14-106): triple 0: "
     with pytest.raises(RangeError, match="^" + re.escape(where)):
         cipher.decrypt_stream(box, KEY)
