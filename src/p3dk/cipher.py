@@ -6,12 +6,15 @@ byte index 31r + j), and the state is whitened with round key 0.  Rounds
 1..16 then apply the triple substitution, a row shift, a column mix on even
 rounds only, and a round-key XOR.  From the whitening to the last key XOR
 the state is one 744-bit int, read big-endian, so row r is a 248-bit field
-and every layer takes and returns such an int.
+and every layer takes and returns such an int.  The row shift and the column
+mix are masked operations on the whole state: a few ANDs with row and column
+masks, shifts and XORs, with no split into rows.
 
 Key schedule: the 31 master key bytes are cube-expanded to 93 bytes, read
 as one 744-bit integer and bit-rotated left by rho; round key r is that
 integer bit-rotated left by 47*r mod 744 (47 is coprime to 744, so all 17
-round keys differ).  rho and the S-box rotation are draws 1 and 2 from the
+round keys differ), taken as a 744-bit window of the integer doubled (written
+twice, end to end).  rho and the S-box rotation are draws 1 and 2 from the
 keyed generator seeded with the master key bytes.
 
 Blocks are independent (codebook mode) and the container records the true
@@ -57,9 +60,18 @@ _STATE_MASK = (1 << STATE_BITS) - 1
 _PAD_MASK = (1 << PAD_BITS) - 1
 
 # The state is a grid of 3 rows of KEY_BYTES columns held as one int, row 0 in
-# the top _ROW_BITS bits; a column is one byte wide.
+# the top _ROW_BITS bits; a column is one byte wide.  The layers shift the whole
+# state by literal bit counts: 248 and 496 are one and two rows, 8 and 16 one
+# and two columns.  _HI1 and _HI2 are the columns a row shift carries round.
 _ROW_BITS = 8 * KEY_BYTES
-_ROW_MASK = (1 << _ROW_BITS) - 1
+_ROW2 = (1 << _ROW_BITS) - 1
+_ROW1 = _ROW2 << _ROW_BITS
+_ROW0 = _ROW1 << _ROW_BITS
+_ROWS01 = _ROW0 | _ROW1
+_HI1 = 0xFF << (2 * _ROW_BITS - 8)
+_LO1 = _ROW1 ^ _HI1
+_HI2 = 0xFFFF << (_ROW_BITS - 16)
+_LO2 = _ROW2 ^ _HI2
 
 
 def pad_block(bits: int, nbits: int) -> bytes:
@@ -108,8 +120,11 @@ def expand_key_with(master: bytes, rho: int, sbox_rotation: int) -> ExpandedKey:
     """Deterministic key expansion for explicit rotation values."""
     _check_key_length(master)
     k = rotl_bits(int.from_bytes(cube.encode_block(master), "big"), rho)
+    # k rotated left by n is the 744-bit window of k twice over whose top is n bits below its top.
+    kk = k << STATE_BITS | k
     round_keys = tuple(
-        rotl_bits(k, (ROUND_KEY_STRIDE * r) % STATE_BITS) for r in range(ROUNDS + 1)
+        (kk >> (STATE_BITS - ROUND_KEY_STRIDE * r % STATE_BITS)) & _STATE_MASK
+        for r in range(ROUNDS + 1)
     )
     return ExpandedKey(rho, sbox_rotation, round_keys)
 
@@ -126,37 +141,28 @@ def expand_key_for(master: bytes) -> ExpandedKey:
     return expand_key_with(master, rho, sbox_rotation)
 
 
-def _rows(state: int) -> tuple[int, int, int]:
-    return state >> (2 * _ROW_BITS), (state >> _ROW_BITS) & _ROW_MASK, state & _ROW_MASK
-
-
-def _rotl_row(row: int, columns: int) -> int:
-    """Rotate one row left by `columns` columns, modulo the row length."""
-    bits = 8 * (columns % KEY_BYTES)
-    return ((row << bits) | (row >> (_ROW_BITS - bits))) & _ROW_MASK
-
-
 def shift_rows(state: int) -> int:
     """Rotate grid row r left by r columns (row 0 unchanged)."""
-    r0, r1, r2 = _rows(state)
-    return r0 << (2 * _ROW_BITS) | _rotl_row(r1, 1) << _ROW_BITS | _rotl_row(r2, 2)
+    return (state & _ROW0 | (state & _LO1) << 8 | (state & _HI1) >> 240
+            | (state & _LO2) << 16 | (state & _HI2) >> 232)
 
 
 def inv_shift_rows(state: int) -> int:
-    r0, r1, r2 = _rows(state)
-    return r0 << (2 * _ROW_BITS) | _rotl_row(r1, -1) << _ROW_BITS | _rotl_row(r2, -2)
+    return (state & _ROW0 | state >> 8 & _LO1 | state << 240 & _HI1
+            | state >> 16 & _LO2 | state << 232 & _HI2)
 
 
 def mix_columns(state: int) -> int:
     """Per column (u, v, w) -> (u^v, v^w, u^v^w); XOR-linear and invertible."""
-    u, v, w = _rows(state)
-    return (u ^ v) << (2 * _ROW_BITS) | (v ^ w) << _ROW_BITS | (u ^ v ^ w)
+    t = state ^ ((state << 248) & _ROWS01)  # (u^v, v^w, w)
+    return t ^ (t >> 496)
 
 
 def inv_mix_columns(state: int) -> int:
     """Per column (o1, o2, o3) -> (o2^o3, o1^o2^o3, o1^o3)."""
-    o1, o2, o3 = _rows(state)
-    return (o2 ^ o3) << (2 * _ROW_BITS) | (o1 ^ o2 ^ o3) << _ROW_BITS | (o1 ^ o3)
+    t = state ^ (state >> 496)  # (o1, o2, o1^o3)
+    t ^= (t << 248) & _ROW1  # (o1, o1^o2^o3, o1^o3)
+    return t ^ ((t << 248) & _ROW0)
 
 
 def encrypt_block(p31: bytes, ek: ExpandedKey) -> bytes:
@@ -201,7 +207,7 @@ def _open_source(source: bytes | BinaryIO) -> tuple[BinaryIO, int]:
     elif not source.seekable():
         source = io.BytesIO(source.read())
     start = source.tell()
-    size = source.seek(0, os.SEEK_END) - start
+    size = max(0, source.seek(0, os.SEEK_END) - start)  # a position past the end reads nothing
     source.seek(start)
     return source, size
 

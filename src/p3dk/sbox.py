@@ -14,7 +14,9 @@ table pass per unit so its cost grows linearly with the rotation count.
 
 sub_state and inv_sub_state take the cipher state as one 744-bit int and
 look up its 62 triples, the top 12 bits first, in the forward or the inverse
-table; they share one loop and differ only in the table they pass it.
+table; they share one loop and differ only in the table they pass it.  The
+loop shifts the state once per four triples: 15 windows of 48 bits, then a
+24-bit tail of two triples.
 """
 
 from typing import NamedTuple
@@ -28,7 +30,7 @@ OFFSET = 8  # output sequence starts at the (16/2+1)th hexadecimal value
 
 _STATE_BITS = 8 * ENCODED_BYTES
 _STATE_LIMIT = 1 << _STATE_BITS
-_TRIPLE_SHIFTS = tuple(range(_STATE_BITS - 12, -1, -12))  # top triple first
+_WINDOW_SHIFTS = tuple(range(_STATE_BITS - 48, 23, -48))
 _VALUES = tuple(range(TRIPLE_COUNT))
 _TABLE_CACHE: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
 
@@ -92,9 +94,11 @@ def _substitute(table: tuple[int, ...], state: int) -> int:
         got = "a negative int" if state < 0 else f"{state.bit_length()} bits"
         raise LengthError(f"state must be an int in [0, 2**{_STATE_BITS}), got {got}")
     out = 0
-    for shift in _TRIPLE_SHIFTS:
-        out = (out << 12) | table[(state >> shift) & 0xFFF]
-    return out
+    for shift in _WINDOW_SHIFTS:
+        w = (state >> shift) & 0xFFFFFFFFFFFF
+        out = (out << 48 | table[w >> 36] << 36 | table[w >> 24 & 0xFFF] << 24
+               | table[w >> 12 & 0xFFF] << 12 | table[w & 0xFFF])
+    return (out << 24) | table[(state >> 12) & 0xFFF] << 12 | table[state & 0xFFF]
 
 
 def sub_state(box: SBox3D, state: int) -> int:

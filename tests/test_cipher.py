@@ -1,3 +1,6 @@
+import collections
+import importlib
+import importlib.util
 import io
 import os
 import random
@@ -138,12 +141,13 @@ def test_shift_rows_moves_row_one_head_to_tail():
 
 
 def test_shift_rows_matches_modular_formula():
+    """Row r moves left by r columns, and back under the inverse."""
     gen = random.Random(8)
-    state = gen.randbytes(93)
-    out = _bytes(shift_rows(_int(state)))
-    for r in range(3):
-        for j in range(31):
-            assert out[31 * r + j] == state[31 * r + (j + r) % 31]
+    for _ in range(200):
+        state = gen.randbytes(93)
+        for layer, step in ((shift_rows, 1), (inv_shift_rows, -1)):
+            out = _bytes(layer(_int(state)))
+            assert out == bytes(state[31 * r + (j + step * r) % 31] for r in range(3) for j in range(31))
 
 
 def test_shift_rows_round_trip():
@@ -163,6 +167,19 @@ def test_mix_columns_spot_columns():
     state[5], state[31 + 5], state[62 + 5] = 0xFF, 0xFF, 0xFF
     out = _bytes(mix_columns(_int(state)))
     assert (out[5], out[31 + 5], out[62 + 5]) == (0x00, 0x00, 0xFF)
+
+
+def test_mix_layers_match_column_formulas():
+    """Column j of rows (u, v, w) mixes to (u^v, v^w, u^v^w) and back from (o1, o2, o3)."""
+    gen = random.Random(16)
+    for _ in range(200):
+        state = gen.randbytes(93)
+        cols = [(state[j], state[31 + j], state[62 + j]) for j in range(31)]
+        mixed = [(u ^ v, v ^ w, u ^ v ^ w) for u, v, w in cols]
+        unmixed = [(o2 ^ o3, o1 ^ o2 ^ o3, o1 ^ o3) for o1, o2, o3 in cols]
+        for layer, want in ((mix_columns, mixed), (inv_mix_columns, unmixed)):
+            out = _bytes(layer(_int(state)))
+            assert [(out[j], out[31 + j], out[62 + j]) for j in range(31)] == want
 
 
 def test_mix_columns_round_trip():
@@ -546,6 +563,66 @@ def test_stream_reads_from_the_current_position():
     src = io.BytesIO(b"skip" + b"payload")
     src.read(4)
     assert encrypt_stream(src, key) == encrypt_stream(b"payload", key)
+
+
+def test_stream_position_past_the_end_reads_nothing():
+    """A file read from past its end is the empty message, as read() would give it."""
+    key = bytes([0x2A] * 31)
+    empty = encrypt_stream(b"", key)
+    src = io.BytesIO(b"abc")
+    src.seek(10)
+    assert encrypt_stream(src, key) == empty
+    out = io.BytesIO()
+    assert encrypt_stream(src, key, out) == len(empty)
+    assert out.getvalue() == empty
+    box = io.BytesIO(encrypt_stream(b"abc", key))
+    box.seek(200)
+    with pytest.raises(FormatError, match="^container shorter than its header$"):
+        decrypt_stream(box, key)
+
+
+def _perfbench_targets():
+    """perfbench/spans.py's TARGETS: (module, attribute, span name) of each call it traces."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "spans.py")
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans.TARGETS
+
+
+def test_a_block_makes_the_calls_perfbench_traces(monkeypatch):
+    """Each traced layer is its own call, made once per block per round, as perfbench's spans assume.
+
+    perfbench derives every per-layer metric from one span per layer call, so
+    folding a layer into the round loop would lose its metric.  ROADMAP item 1
+    (spans divided by the blocks they cover) may lift this.
+    """
+    calls = collections.Counter()
+    for module_name, attr, span in _perfbench_targets():
+        module = importlib.import_module(f"p3dk.{module_name}")
+
+        def counted(*args, _fn=getattr(module, attr), _span=span, **kwargs):
+            calls[_span] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, attr, counted)
+    ek = cipher.expand_key_for(bytes([0x2A] * 31))
+    assert calls == {
+        "cipher.expand_key_for": 1, "rng.seed_from_bytes": 1, "rng.next_below": 2,
+        "cipher.rotl_bits": 1, "cube.encode_block": 1, "sbox.build_sbox": 1,
+    }
+    calls.clear()
+    block = cipher.encrypt_block(pad_block(12345, 243), ek)
+    assert calls == {
+        "cipher.encrypt_block": 1, "cube.encode_block": 1, "sbox.sub_state": 16,
+        "cipher.shift_rows": 16, "cipher.mix_columns": 8,
+    }
+    calls.clear()
+    assert cipher.decrypt_block(block, ek) == pad_block(12345, 243)
+    assert calls == {
+        "cipher.decrypt_block": 1, "cube.decode_block": 1, "sbox.inv_sub_state": 16,
+        "cipher.inv_shift_rows": 16, "cipher.inv_mix_columns": 8,
+    }
 
 
 def test_stream_payload_expansion_ratio():

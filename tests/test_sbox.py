@@ -93,6 +93,29 @@ def test_sub_state_round_trip_random():
         assert inv_sub_state(box, sub_state(box, state)) == state
 
 
+def _per_triple(table, state):
+    """The 62 triples of a state looked up one at a time, triple 0 on top."""
+    out = 0
+    for i in range(62):
+        shift = 12 * (61 - i)
+        out |= table[(state >> shift) & 0xFFF] << shift
+    return out
+
+
+def test_substitution_matches_per_triple_lookup():
+    """Random states, and states set only at triples on 48-bit window edges or in the tail."""
+    gen = random.Random(17)
+    states = [int.from_bytes(gen.randbytes(93), "big") for _ in range(20)]
+    for triples in ((0,), (3, 4), (59,), (60, 61)):
+        for value in (0xFFF, gen.randrange(1, 0xFFF)):
+            states.append(sum(value << 12 * (61 - i) for i in triples))
+    for rotation in range(16):
+        box = build_sbox(rotation)
+        for state in states:
+            assert sub_state(box, state) == _per_triple(box.forward, state)
+            assert inv_sub_state(box, state) == _per_triple(box.inverse, state)
+
+
 def test_dump_sbox_lines():
     box = build_sbox(0)
     lines = dump_sbox(box).strip().splitlines()
