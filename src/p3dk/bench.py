@@ -36,6 +36,9 @@ DEFAULT_SIZES_KB = (20, 35, 155, 333, 512)
 DEFAULT_BIT_LENGTHS = (3, 9, 27, 81, 243)
 DEFAULT_TRIALS = 5
 CONTENT_SEED = 0x9D3B
+# The largest file one Random.randbytes call makes on CPython 3.11, whose
+# getrandbits takes at most 2**31 - 1 bits: 262,143 KB.
+MAX_SIZE_KB = (2**31 - 1) // 8 // 1024
 
 REF_FILESIZE_S = {20: 28, 35: 58, 155: 261, 333: 468, 512: 501}
 REF_ROTATIONS_MS = {n: round(0.003 * n, 3) for n in range(17)}
@@ -135,6 +138,8 @@ def bench_filesize(sizes_kb=DEFAULT_SIZES_KB, trials: int = DEFAULT_TRIALS) -> B
         raise UsageError("size list must not be empty")
     if any(s <= 0 for s in sizes):
         raise UsageError(f"sizes must be positive, got {sizes}")
+    if sizes[-1] > MAX_SIZE_KB:
+        raise UsageError(f"sizes must be at most {MAX_SIZE_KB} KB, got {sizes}")
     gen = random.Random(CONTENT_SEED)
     files = [gen.randbytes(size * 1024) for size in sizes]
     medians = _side_by_side_medians(

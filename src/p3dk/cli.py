@@ -22,14 +22,13 @@ from .cipher import (
     generate_master_key,
     validate_master_key,
 )
-from .cube import build_cube, dump_cube
+from .cube import dump_cube
 from .errors import (
     FormatError,
     IntegrityError,
     KeyFormatError,
     LengthError,
     RangeError,
-    SeedError,
     UsageError,
 )
 from .sbox import ROTATIONS, build_sbox, dump_sbox
@@ -97,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_avalanche)
 
     p = sub.add_parser("dump-cube", help="print the symbol cube, one cell per line")
-    p.set_defaults(handler=lambda args: _print(dump_cube(build_cube())))
+    p.set_defaults(handler=lambda args: _print(dump_cube()))
 
     p = sub.add_parser("dump-sbox", help="print a substitution table")
     p.add_argument(
@@ -219,7 +218,7 @@ def run(argv) -> int:
     except (FormatError, IntegrityError, RangeError, LengthError) as exc:
         print(f"format error: {exc}", file=sys.stderr)
         return _EXIT_FORMAT
-    except (KeyFormatError, SeedError) as exc:
+    except KeyFormatError as exc:
         print(f"key error: {exc}", file=sys.stderr)
         return _EXIT_KEY
 

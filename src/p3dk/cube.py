@@ -5,6 +5,10 @@ The cube holds a pair of ASCII symbols per cell over the 81-symbol alphabet
 
     cell(x, y, z) = (chr(42 + 9x + y), chr(42 + 9y + z))
 
+The cube is built once, as the codec table _TRIPLES below: cell (x, y, z) is
+byte b = 42 + 9x + y (so q = 0) followed by the depth symbol of b's triple at
+the positions p with p mod 9 = z, and dump_cube renders it from that table.
+
 A byte b at block position p encodes to the three ASCII bytes of its triple
 (row digit, column digit, depth symbol):
 
@@ -26,7 +30,7 @@ per position that encode_block emits there.  Any other triple encodes no
 byte, and the error names the first such triple.
 """
 
-from itertools import cycle
+from itertools import cycle, product
 from operator import getitem
 
 from .errors import IntegrityError, LengthError, RangeError
@@ -36,20 +40,6 @@ DIGIT_BASE = ord("0")
 CUBE_SIZE = 9
 BLOCK_BYTES = 31
 ENCODED_BYTES = 93
-
-
-def build_cube() -> list:
-    """Materialize the full 9x9x9 cube of symbol pairs as nested lists."""
-    return [
-        [
-            [
-                (chr(SYMBOL_BASE + 9 * x + y), chr(SYMBOL_BASE + 9 * y + z))
-                for z in range(CUBE_SIZE)
-            ]
-            for y in range(CUBE_SIZE)
-        ]
-        for x in range(CUBE_SIZE)
-    ]
 
 
 # Slices that cut a run of bytes into its first 256 triples
@@ -126,12 +116,10 @@ def _triple_error(encoded: bytes) -> IntegrityError | RangeError:
     return RangeError(f"{where}symbol value {81 * q + 9 * x + y} past 255 at depth offset {q}")
 
 
-def dump_cube(cube: list) -> str:
-    """Render the cube as one `arr[x][y][z] = <pair>` record per line."""
+def dump_cube() -> str:
+    """Render the cube from _TRIPLES, one `arr[x][y][z] = <pair>` record per line."""
     lines = []
-    for x in range(CUBE_SIZE):
-        for y in range(CUBE_SIZE):
-            for z in range(CUBE_SIZE):
-                first, second = cube[x][y][z]
-                lines.append(f"arr[{x}][{y}][{z}] = {first}{second}")
+    for x, y, z in product(range(CUBE_SIZE), repeat=3):
+        b = SYMBOL_BASE + 9 * x + y
+        lines.append(f"arr[{x}][{y}][{z}] = {chr(b)}{chr(_TRIPLES[z][b][2])}")
     return "\n".join(lines) + "\n"

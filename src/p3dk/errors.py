@@ -9,10 +9,6 @@ class P3DKError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class SeedError(P3DKError):
-    """Seeding the keyed generator from empty input."""
-
-
 class RangeError(P3DKError):
     """A value falls outside its permitted range."""
 

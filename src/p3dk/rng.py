@@ -10,7 +10,7 @@ can re-derive them.  Draw order is part of the cipher contract:
 Not a CSPRNG; it is a deterministic schedule generator.
 """
 
-from .errors import RangeError, SeedError
+from .errors import LengthError, RangeError
 
 _MASK64 = (1 << 64) - 1
 FNV_OFFSET = 0xCBF29CE484222325
@@ -29,7 +29,7 @@ class RngState:
 def seed_from_bytes(key_bytes: bytes) -> RngState:
     """Fold key bytes with FNV-1a into a nonzero 64-bit state."""
     if len(key_bytes) == 0:
-        raise SeedError("cannot seed from empty input")
+        raise LengthError("cannot seed from empty input")
     s = FNV_OFFSET
     for b in key_bytes:
         s = ((s ^ b) * FNV_PRIME) & _MASK64

@@ -43,7 +43,7 @@ def test_criterion_01_codec_bijectivity():
 
 
 def test_criterion_02_cube_dump_conformance():
-    text = cube.dump_cube(cube.build_cube())
+    text = cube.dump_cube()
     wanted = {
         "arr[0][0][0] = **",
         "arr[0][1][0] = +3",

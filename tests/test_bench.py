@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from p3dk.bench import (
@@ -26,6 +28,14 @@ def test_filesize_rejects_bad_sizes():
         bench_filesize([])
     with pytest.raises(UsageError):
         bench_filesize([10, 0])
+    tracemalloc.start()
+    try:
+        with pytest.raises(UsageError, match=r"at most 262143 KB, got \[1, 262144, 300000\]"):
+            bench_filesize([1, 300000, 262144])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # refused before the 256 MB files are built
 
 
 def test_filesize_metadata_fields():

@@ -201,6 +201,14 @@ def test_bench_filesize_with_custom_sizes(tmp_path):
     assert len(lines) == 3
 
 
+def test_bench_filesize_rejects_oversized_file(tmp_path, capsys):
+    out = str(tmp_path / "big.csv")
+    code = run(["bench", "filesize", "--sizes", "300000", "--trials", "1", "--out", out])
+    assert code == 1
+    assert capsys.readouterr().err == "usage error: sizes must be at most 262143 KB, got [300000]\n"
+    assert os.listdir(tmp_path) == []
+
+
 def test_bench_sboxgen_rejects_bad_lengths(tmp_path, capsys):
     code = run(["bench", "sboxgen", "--sizes", "7", "--trials", "1", "--out", str(tmp_path / "s.csv")])
     assert code == 1
@@ -241,6 +249,7 @@ def test_avalanche_unwritable_out_leaves_no_temp_file(tmp_path, capsys):
 def test_dump_cube_output(capsys):
     assert run(["dump-cube"]) == 0
     out = capsys.readouterr().out
+    assert out == cube.dump_cube()
     assert "arr[0][0][0] = **" in out
     assert len(out.strip().splitlines()) == 729
 

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 import kat_oracle
 from p3dk.cube import (
-    build_cube,
     decode_block,
     dump_cube,
     encode_block,
@@ -16,21 +15,32 @@ from p3dk.cube import (
 from p3dk.errors import IntegrityError, LengthError, RangeError
 
 
+def _dump_cells() -> dict:
+    """The (x, y, z) -> (first, second) symbol pairs of dump_cube's lines."""
+    cells = {}
+    for line in dump_cube().splitlines():
+        index, pair = line.split(" = ")
+        x, y, z = (int(n) for n in index[4:-1].split("]["))
+        cells[x, y, z] = tuple(pair)
+    return cells
+
+
 def test_cube_closed_form_everywhere():
-    cube = build_cube()
+    cells = _dump_cells()
+    assert len(dump_cube().splitlines()) == len(cells) == 729  # one line per cell
     for x in range(9):
         for y in range(9):
             for z in range(9):
-                assert cube[x][y][z] == (chr(42 + 9 * x + y), chr(42 + 9 * y + z))
+                assert cells[x, y, z] == (chr(42 + 9 * x + y), chr(42 + 9 * y + z))
 
 
 def test_cube_corner_and_spot_cells():
-    cube = build_cube()
-    assert cube[0][0][0] == ("*", "*")
-    assert cube[0][1][0] == ("+", "3")
-    assert cube[0][3][0] == ("-", "E")
-    assert cube[8][0][7] == ("r", "1")
-    assert cube[8][8][8] == ("z", "z")
+    cells = _dump_cells()
+    assert cells[0, 0, 0] == ("*", "*")
+    assert cells[0, 1, 0] == ("+", "3")
+    assert cells[0, 3, 0] == ("-", "E")
+    assert cells[8, 0, 7] == ("r", "1")
+    assert cells[8, 8, 8] == ("z", "z")
 
 
 def _triple(b: int, p: int) -> bytes:
@@ -207,7 +217,7 @@ def test_decode_block_matches_oracle(encoded):
 
 
 def test_dump_cube_contains_known_lines():
-    text = dump_cube(build_cube())
+    text = dump_cube()
     assert "arr[0][0][0] = **" in text
     assert "arr[0][1][0] = +3" in text
     assert "arr[8][0][7] = r1" in text

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from p3dk.errors import RangeError, SeedError
+from p3dk.errors import LengthError, RangeError
 from p3dk.rng import RngState, next_below, next_u64, seed_from_bytes
 
 
@@ -15,7 +15,7 @@ def test_seed_letter_a_matches_tabulated_value():
 
 
 def test_seed_empty_rejected():
-    with pytest.raises(SeedError):
+    with pytest.raises(LengthError, match="cannot seed from empty input"):
         seed_from_bytes(b"")
 
 
