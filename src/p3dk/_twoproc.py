@@ -28,7 +28,7 @@ AHEAD = 5
 # the output, or the input back if the child failed on it.  Each is at most
 # 23,808 bytes (a chunk of container bytes) plus its framing, so QUEUE of each
 # fit a pipe this large and neither process ever waits for room in one, which
-# could leave each waiting for the other.
+# could leave each waiting for the other.  A test checks these sums.
 _PIPE_BYTES = 65536
 # What either process raises when the other ends mid-stream: an OSError, so
 # the CLI reports it as an I/O failure.

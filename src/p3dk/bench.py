@@ -282,17 +282,9 @@ def render_csv(report: BenchReport) -> str:
 
 
 def render_svg(report: BenchReport) -> str:
-    """The rows as a single-polyline SVG chart with axis labels."""
+    """The rows as a single-polyline SVG chart with axis labels; every row label is a number."""
     width, height, margin = 640, 400, 60
-    xs = []
-    for label, _ in report.rows:
-        try:
-            xs.append(float(label))
-        except ValueError:
-            xs = []
-            break
-    if not xs:
-        xs = [float(i) for i in range(len(report.rows))]
+    xs = [float(label) for label, _ in report.rows]
     ys = [value for _, value in report.rows]
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(ys), max(ys)

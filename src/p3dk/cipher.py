@@ -33,7 +33,6 @@ claims (see README).
 
 import io
 import os
-from typing import BinaryIO
 
 from . import cube
 from .errors import FormatError, IntegrityError, KeyFormatError, LengthError, RangeError
@@ -195,7 +194,7 @@ def decrypt_block(c93: bytes, ek: ExpandedKey) -> bytes:
     return cube.decode_block((state ^ rk[0]).to_bytes(STATE_BYTES, "big"))
 
 
-def _open_source(source: bytes | BinaryIO) -> tuple[BinaryIO, int]:
+def _open_source(source: bytes | io.BufferedIOBase) -> tuple[io.BufferedIOBase, int]:
     """A binary reader over bytes or a readable binary file, and the byte count left in it.
 
     A bytes object is wrapped without a copy.  A file that cannot seek (a
@@ -212,7 +211,7 @@ def _open_source(source: bytes | BinaryIO) -> tuple[BinaryIO, int]:
     return source, size
 
 
-def _read_exact(src: BinaryIO, count: int, what: str) -> bytes:
+def _read_exact(src: io.BufferedIOBase, count: int, what: str) -> bytes:
     data = src.read(count)
     if len(data) != count:
         raise LengthError(f"{what} ended {count - len(data)} bytes early")
@@ -271,7 +270,7 @@ def _write_in_order(nchunks: int, read, work, write) -> None:
 
 
 def encrypt_stream(
-    plaintext: bytes | BinaryIO, master: bytes, out: BinaryIO | None = None
+    plaintext: bytes | io.BufferedIOBase, master: bytes, out: io.BufferedIOBase | None = None
 ) -> bytes | int:
     """Encrypt bytes or a readable binary file into a ciphertext container (codebook mode).
 
@@ -297,7 +296,7 @@ def encrypt_stream(
 
 
 def decrypt_stream(
-    container: bytes | BinaryIO, master: bytes, out: BinaryIO | None = None
+    container: bytes | io.BufferedIOBase, master: bytes, out: io.BufferedIOBase | None = None
 ) -> bytes | int:
     """Invert encrypt_stream, truncating to the recorded bit length.
 

@@ -6,13 +6,13 @@ problems.  Every failure prints a one-line diagnostic to stderr.  All
 binary outputs go through a required --out flag, never to the terminal.
 Each --out and --svg goes to a temp file beside it that replaces it only
 on success, so a failed run leaves no partial output (an I/O error names
-the temp path); keygen alone never overwrites, opening --out exclusively.
+the temp path); a target that is not a regular file (a FIFO, a device) is
+refused.  keygen alone never overwrites, opening --out exclusively.
 encrypt and decrypt stream in fixed chunks; a bench --svg must not be --out.
 """
 
 import argparse
 import contextlib
-import math
 import os
 import sys
 
@@ -137,7 +137,13 @@ def _cmd_keygen(args) -> int:
 
 @contextlib.contextmanager
 def _replacing(path: str):
-    """Yield a new binary file beside path that replaces path only if the block succeeds."""
+    """Yield a new binary file beside path that replaces path only if the block succeeds.
+
+    A path that exists and is not a regular file (a FIFO, a device, a
+    directory) is refused with an OSError before the temp file is made.
+    """
+    if os.path.exists(path) and not os.path.isfile(path):
+        raise OSError(f"{path} exists and is not a regular file; refusing to replace it")
     tmp = f"{path}.{os.urandom(4).hex()}.tmp"
     fh = open(tmp, "xb")
     try:
@@ -193,7 +199,7 @@ def _cmd_avalanche(args) -> int:
     if args.trials < 2:
         raise UsageError(f"--trials must be >= 2, got {args.trials}")
     keys = max(1, args.trials // 100)
-    flips = math.ceil(args.trials / keys)
+    flips = -(-args.trials // keys)
     report = bench.avalanche(keys, flips)
     _write_reports({args.out: bench.render_csv(report)})
     stats = dict(report.rows)

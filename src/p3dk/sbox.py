@@ -6,11 +6,13 @@ Inputs and outputs are packed as 12-bit integers (a << 8 | b << 4 | c) and
 the full 4096-entry forward/inverse tables are materialized; a triple is
 looked up as box.forward[a << 8 | b << 4 | c].
 
-Tables for the ROTATIONS = 16 rotations are built once and shared; SBox3D is
-immutable, so sharing is safe.  Every table entry is taken from one tuple of the 4096
-possible values, so all 32 tables share the same 4096 int objects instead
-of each holding its own copies.  rotate() deliberately performs one full
-table pass per unit so its cost grows linearly with the rotation count.
+An SBox3D is a collections.namedtuple (rotation, forward, inverse): an
+immutable tuple that compares by value.  Tables for the ROTATIONS = 16
+rotations are built once and shared; a box cannot change, so sharing is
+safe.  Every table entry is taken from one tuple of the 4096 possible
+values, so all 32 tables share the same 4096 int objects instead of each
+holding its own copies.  rotate() deliberately performs one full table pass
+per unit so its cost grows linearly with the rotation count.
 
 sub_state and inv_sub_state take the cipher state as one 744-bit int and
 look up its 62 triples, the top 12 bits first, in the forward or the inverse
@@ -19,7 +21,7 @@ loop shifts the state once per four triples: 15 windows of 48 bits, then a
 24-bit tail of two triples.
 """
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .cube import ENCODED_BYTES
 from .errors import LengthError, RangeError
@@ -35,12 +37,7 @@ _VALUES = tuple(range(TRIPLE_COUNT))
 _TABLE_CACHE: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
 
 
-class SBox3D(NamedTuple):
-    """Bijection on nibble triples; forward/inverse are 4096-entry tables."""
-
-    rotation: int
-    forward: tuple[int, ...]
-    inverse: tuple[int, ...]
+SBox3D = namedtuple("SBox3D", "rotation forward inverse")
 
 
 def _tables(rotation: int) -> tuple[tuple[int, ...], tuple[int, ...]]:

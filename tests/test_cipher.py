@@ -405,6 +405,20 @@ def test_dispatch_contract(child_delay):
         assert ahead == _twoproc.AHEAD and len(mine) > 6
 
 
+def test_queued_messages_fit_the_pipes():
+    """QUEUE jobs, and QUEUE replies, of the largest chunk fit _PIPE_BYTES, so no _send waits.
+
+    A job is an 8-byte chunk index, a 4-byte length and a chunk's input; a
+    reply is a status byte, a 4-byte length and an output or the input back.
+    The largest input or output is a chunk of container bytes.
+    """
+    largest = cipher.CHUNK_BLOCKS * STATE_BYTES
+    assert cipher.CHUNK_BYTES < largest
+    assert _twoproc.QUEUE * (8 + 4 + largest) <= _twoproc._PIPE_BYTES
+    assert _twoproc.QUEUE * (1 + 4 + largest) <= _twoproc._PIPE_BYTES
+    assert _twoproc.AHEAD * largest < 120_000
+
+
 @_needs_fork
 def test_pipes_too_small_for_the_queue_leave_one_process(monkeypatch):
     """Where a pipe could fill up, run forks nothing, reads nothing and closes its pipes."""

@@ -1,6 +1,7 @@
 import os
 import random
 import re
+import stat
 import subprocess
 import sys
 import tempfile
@@ -181,6 +182,26 @@ def test_bench_failure_leaves_out_as_it_was(tmp_path, monkeypatch, capsys, svg, 
         assert (tmp_path / "ok.csv").read_bytes() == before
 
 
+@pytest.mark.parametrize("verb", ["encrypt", "bench"])
+def test_fifo_target_is_refused_and_left_in_place(tmp_path, monkeypatch, capsys, verb):
+    """An --out or --svg that names a FIFO exits 2 naming it, before any temp file is made."""
+    monkeypatch.chdir(tmp_path)
+    os.mkfifo("out.fifo")
+    if verb == "encrypt":
+        Path("key").write_bytes(KEY)
+        Path("plain").write_bytes(b"attack at dawn")
+        argv = ["encrypt", "--key", "key", "--in", "plain", "--out", "out.fifo"]
+    else:
+        argv = ["bench", "rotations", "--max-count", "1", "--trials", "1", "--out", "r.csv", "--svg", "out.fifo"]
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "i/o error: out.fifo exists and is not a regular file; refusing to replace it\n"
+    assert stat.S_ISFIFO(os.stat("out.fifo").st_mode)
+    assert not list(tmp_path.glob("*.tmp"))
+    assert not Path("r.csv").exists()
+
+
 def test_bench_refuses_svg_that_is_out(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(bench, "bench_rotations", lambda *a, **k: pytest.fail("measured"))
@@ -283,8 +304,8 @@ def test_import_loads_no_unused_modules():
     adding their own imports to the result.
     """
     heavy = [
-        "dataclasses", "inspect", "secrets", "hmac", "hashlib", "statistics", "random",
-        "p3dk.bench", "p3dk._twoproc",
+        "typing", "dataclasses", "inspect", "secrets", "hmac", "hashlib", "statistics",
+        "random", "p3dk.bench", "p3dk._twoproc",
     ]
     src = Path(__file__).resolve().parents[1] / "src"
     code = (
