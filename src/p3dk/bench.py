@@ -26,10 +26,11 @@ from .cipher import (
     encrypt_block,
     encrypt_stream,
     expand_key_for,
+    next_below,
     pad_block,
+    seed_from_bytes,
 )
 from .errors import UsageError
-from .rng import next_below, seed_from_bytes
 from .sbox import ROTATIONS, build_sbox, rotate
 
 DEFAULT_SIZES_KB = (20, 35, 155, 333, 512)

@@ -14,8 +14,13 @@ Key schedule: the 31 master key bytes are cube-expanded to 93 bytes, read
 as one 744-bit integer and bit-rotated left by rho; round key r is that
 integer bit-rotated left by 47*r mod 744 (47 is coprime to 744, so all 17
 round keys differ), taken as a 744-bit window of the integer doubled (written
-twice, end to end).  rho and the S-box rotation are draws 1 and 2 from the
-keyed generator seeded with the master key bytes.
+twice, end to end).  rho and the S-box rotation come from a keyed generator,
+FNV-1a seeding plus xorshift64 (a deterministic schedule, not a CSPRNG),
+seeded with the master key bytes so the decryptor re-derives them.  The draw
+order is part of the cipher contract:
+
+    draw 1: rho, next_below(state, 744)
+    draw 2: S-box rotation, next_below(state, 16)
 
 Blocks are independent (codebook mode) and the container records the true
 plaintext bit length:
@@ -36,7 +41,6 @@ import os
 
 from . import cube
 from .errors import FormatError, IntegrityError, KeyFormatError, LengthError, RangeError
-from .rng import next_below, seed_from_bytes
 from .sbox import ROTATIONS, build_sbox, inv_sub_state, sub_state
 
 BLOCK_BITS = 243
@@ -57,6 +61,9 @@ CHUNK_BLOCKS = 8 * CHUNK_BYTES // BLOCK_BITS
 
 _STATE_MASK = (1 << STATE_BITS) - 1
 _PAD_MASK = (1 << PAD_BITS) - 1
+_MASK64 = (1 << 64) - 1
+FNV_OFFSET = 0xCBF29CE484222325
+FNV_PRIME = 0x00000100000001B3
 
 # The state is a grid of 3 rows of KEY_BYTES columns held as one int, row 0 in
 # the top _ROW_BITS bits; a column is one byte wide.  The layers shift the whole
@@ -101,6 +108,44 @@ def rotl_bits(x: int, count: int) -> int:
     """Rotate a 744-bit value left by count bits."""
     count %= STATE_BITS
     return ((x << count) | (x >> (STATE_BITS - count))) & _STATE_MASK
+
+
+class RngState:
+    """64-bit xorshift state; never zero once seeded."""
+
+    __slots__ = ("s",)
+
+    def __init__(self, s: int):
+        self.s = s
+
+
+def seed_from_bytes(key_bytes: bytes) -> RngState:
+    """Fold key bytes with FNV-1a into a nonzero 64-bit state."""
+    if len(key_bytes) == 0:
+        raise LengthError("cannot seed from empty input")
+    s = FNV_OFFSET
+    for b in key_bytes:
+        s = ((s ^ b) * FNV_PRIME) & _MASK64
+    if s == 0:
+        s = FNV_OFFSET
+    return RngState(s)
+
+
+def next_u64(state: RngState) -> int:
+    """Advance the xorshift64 state in place and return the new value."""
+    s = state.s
+    s ^= (s << 13) & _MASK64
+    s ^= s >> 7
+    s ^= (s << 17) & _MASK64
+    state.s = s
+    return s
+
+
+def next_below(state: RngState, n: int) -> int:
+    """Draw a value in [0, n)."""
+    if n < 1:
+        raise RangeError(f"modulus must be >= 1, got {n}")
+    return next_u64(state) % n
 
 
 class ExpandedKey:
@@ -194,25 +239,32 @@ def decrypt_block(c93: bytes, ek: ExpandedKey) -> bytes:
     return cube.decode_block((state ^ rk[0]).to_bytes(STATE_BYTES, "big"))
 
 
-def _open_source(source: bytes | io.BufferedIOBase) -> tuple[io.BufferedIOBase, int]:
+def _open_source(source: bytes | io.BufferedIOBase) -> tuple[io.BufferedIOBase, int | None]:
     """A binary reader over bytes or a readable binary file, and the byte count left in it.
 
-    A bytes object is wrapped without a copy.  A file that cannot seek (a
-    pipe) is read whole, because the header needs the length before anything
-    else.
+    A bytes object is wrapped without a copy.  The count is None for a file
+    that cannot seek (a pipe).
     """
     if not hasattr(source, "read"):
         source = io.BytesIO(source)
-    elif not source.seekable():
-        source = io.BytesIO(source.read())
+    if not source.seekable():
+        return source, None
     start = source.tell()
     size = max(0, source.seek(0, os.SEEK_END) - start)  # a position past the end reads nothing
     source.seek(start)
     return source, size
 
 
-def _read_exact(src: io.BufferedIOBase, count: int, what: str) -> bytes:
+def _read_up_to(src: io.BufferedIOBase, count: int) -> bytes:
+    """`count` bytes, or fewer only where src ends: one read of a raw pipe can return fewer."""
     data = src.read(count)
+    while len(data) < count and (more := src.read(count - len(data))):
+        data += more
+    return data
+
+
+def _read_exact(src: io.BufferedIOBase, count: int, what: str) -> bytes:
+    data = _read_up_to(src, count)
     if len(data) != count:
         raise LengthError(f"{what} ended {count - len(data)} bytes early")
     return data
@@ -276,9 +328,12 @@ def encrypt_stream(
 
     Without `out`, return the container as bytes.  With a binary writer
     `out`, write each chunk as soon as it is encrypted and return the number
-    of bytes written.
+    of bytes written.  A file that cannot seek (a pipe) is read whole first,
+    because the header records the length before any block.
     """
     src, size = _open_source(plaintext)
+    if size is None:
+        src, size = _open_source(src.read())
     ek = expand_key_for(master)
     parts = []
     write = parts.append if out is None else out.write
@@ -301,8 +356,11 @@ def decrypt_stream(
     """Invert encrypt_stream, truncating to the recorded bit length.
 
     Takes bytes or a readable binary file.  The header and the payload length
-    are checked before the key is expanded; a corrupted block raises at that
-    block, with the block index and its container byte range in the message.
+    are checked before the key is expanded, except that a file that cannot
+    seek (a pipe) is read chunk by chunk, as files are, and raises
+    LengthError where its payload ends early or after the last chunk if it
+    runs on.  A corrupted block raises at that block, with the block index and
+    its container byte range in the message.
     Only the one canonical container of each plaintext is accepted: non-zero
     pad bits, or non-zero bits past the recorded length in the last block,
     raise IntegrityError.  Without `out`, return the plaintext as bytes.  With
@@ -311,7 +369,7 @@ def decrypt_stream(
     number of bytes written.
     """
     src, size = _open_source(container)
-    header = src.read(HEADER_BYTES)
+    header = _read_up_to(src, HEADER_BYTES)
     if len(header) < HEADER_BYTES:
         raise FormatError("container shorter than its header")
     if header[:4] != MAGIC:
@@ -324,7 +382,7 @@ def decrypt_stream(
     if bit_len % 8:
         raise FormatError(f"bit length {bit_len} is not a whole number of bytes")
     nblocks = (bit_len + BLOCK_BITS - 1) // BLOCK_BITS
-    if size - HEADER_BYTES != nblocks * STATE_BYTES:
+    if size is not None and size - HEADER_BYTES != nblocks * STATE_BYTES:
         raise LengthError(
             f"payload is {size - HEADER_BYTES} bytes, header implies {nblocks * STATE_BYTES}"
         )
@@ -338,6 +396,8 @@ def decrypt_stream(
         lambda i, payload: _decrypt_chunk(payload, i * CHUNK_BLOCKS, bit_len, ek),
         parts.append if out is None else out.write,
     )
+    if size is None and src.read(1):
+        raise LengthError(f"payload runs past the {nblocks * STATE_BYTES} bytes the header implies")
     return b"".join(parts) if out is None else bit_len // 8
 
 

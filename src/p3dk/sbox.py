@@ -7,12 +7,12 @@ the full 4096-entry forward/inverse tables are materialized; a triple is
 looked up as box.forward[a << 8 | b << 4 | c].
 
 An SBox3D is a collections.namedtuple (rotation, forward, inverse): an
-immutable tuple that compares by value.  Tables for the ROTATIONS = 16
-rotations are built once and shared; a box cannot change, so sharing is
-safe.  Every table entry is taken from one tuple of the 4096 possible
-values, so all 32 tables share the same 4096 int objects instead of each
-holding its own copies.  rotate() deliberately performs one full table pass
-per unit so its cost grows linearly with the rotation count.
+immutable tuple that compares by value.  build_sbox builds each rotation's
+record on its first call and returns that same record after; a box cannot
+change, so sharing is safe.  Every table entry is taken from one tuple of
+the 4096 possible values, so all 32 tables share the same 4096 int objects
+instead of each holding its own copies.  rotate() deliberately performs one
+full table pass per unit so its cost grows linearly with the rotation count.
 
 sub_state and inv_sub_state take the cipher state as one 744-bit int and
 look up its 62 triples, the top 12 bits first, in the forward or the inverse
@@ -34,37 +34,30 @@ _STATE_BITS = 8 * ENCODED_BYTES
 _STATE_LIMIT = 1 << _STATE_BITS
 _WINDOW_SHIFTS = tuple(range(_STATE_BITS - 48, 23, -48))
 _VALUES = tuple(range(TRIPLE_COUNT))
-_TABLE_CACHE: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
-
 
 SBox3D = namedtuple("SBox3D", "rotation forward inverse")
-
-
-def _tables(rotation: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    cached = _TABLE_CACHE.get(rotation)
-    if cached is not None:
-        return cached
-    forward = [0] * TRIPLE_COUNT
-    inverse = [0] * TRIPLE_COUNT
-    # For fixed (b, c) the inputs (a, b, c), a = 0..15, sit 256 apart and map
-    # in order onto the 16 consecutive outputs (b, c, d) rotated left by
-    # c + 8 + R, so each (b, c) costs one slice assignment per table.
-    for bc in range(256):
-        turn = (bc + OFFSET + rotation) & 0xF
-        outs = _VALUES[bc << 4 : (bc + 1) << 4]
-        srcs = _VALUES[bc::256]
-        forward[bc::256] = outs[turn:] + outs[:turn]
-        inverse[bc << 4 : (bc + 1) << 4] = srcs[16 - turn :] + srcs[: 16 - turn]
-    entry = (tuple(forward), tuple(inverse))
-    _TABLE_CACHE[rotation] = entry
-    return entry
+_BOXES: dict[int, SBox3D] = {}
 
 
 def build_sbox(rotation: int) -> SBox3D:
+    """The S-box of a rotation in [0, ROTATIONS): built on its first call, the same record after."""
     if not 0 <= rotation < ROTATIONS:
         raise RangeError(f"rotation must be in [0, {ROTATIONS - 1}], got {rotation}")
-    forward, inverse = _tables(rotation)
-    return SBox3D(rotation, forward, inverse)
+    box = _BOXES.get(rotation)
+    if box is None:
+        forward = [0] * TRIPLE_COUNT
+        inverse = [0] * TRIPLE_COUNT
+        # For fixed (b, c) the inputs (a, b, c), a = 0..15, sit 256 apart and map
+        # in order onto the 16 consecutive outputs (b, c, d) rotated left by
+        # c + 8 + R, so each (b, c) costs one slice assignment per table.
+        for bc in range(256):
+            turn = (bc + OFFSET + rotation) & 0xF
+            outs = _VALUES[bc << 4 : (bc + 1) << 4]
+            srcs = _VALUES[bc::256]
+            forward[bc::256] = outs[turn:] + outs[:turn]
+            inverse[bc << 4 : (bc + 1) << 4] = srcs[16 - turn :] + srcs[: 16 - turn]
+        box = _BOXES[rotation] = SBox3D(rotation, tuple(forward), tuple(inverse))
+    return box
 
 
 def rotate(box: SBox3D, count: int) -> SBox3D:

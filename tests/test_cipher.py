@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -593,6 +594,98 @@ def test_stream_position_past_the_end_reads_nothing():
     box.seek(200)
     with pytest.raises(FormatError, match="^container shorter than its header$"):
         decrypt_stream(box, key)
+
+
+class _PipeEnd(io.RawIOBase):
+    """A raw reader that cannot seek, as a pipe is: it gives at most `most` bytes per read."""
+
+    def __init__(self, data: bytes, most: int = 65536):
+        self._view, self._at, self._most = memoryview(data), 0, most
+
+    def readable(self):
+        return True
+
+    def readinto(self, buf):
+        n = min(len(buf), len(self._view) - self._at, self._most)
+        buf[:n] = self._view[self._at : self._at + n]
+        self._at += n
+        return n
+
+
+def _pipe(data: bytes) -> io.BufferedReader:
+    """A buffered reader over a pipe that holds `data`, as open() gives for a FIFO."""
+    return io.BufferedReader(_PipeEnd(data))
+
+
+class _Expecting:
+    """A writer that checks each write against the bytes expected next, and keeps none of them."""
+
+    def __init__(self, expected: bytes):
+        self.expected, self.at = expected, 0
+
+    def write(self, data):
+        assert data == self.expected[self.at : self.at + len(data)]
+        self.at += len(data)
+        return len(data)
+
+
+def test_pipe_decrypt_memory_does_not_grow(monkeypatch):
+    """A 2 MB container from a pipe is decrypted chunk by chunk, allocating far less than its size.
+
+    The block layers are cheap stand-ins (a 93-byte block that carries the
+    31 plaintext bytes) so the run takes seconds; reading, unpacking and
+    writing are the real code.
+    """
+    monkeypatch.setattr(cipher, "encrypt_block", lambda p31, ek: p31 * 3)
+    monkeypatch.setattr(cipher, "decrypt_block", lambda c93, ek: c93[:31])
+    key = bytes([0x2A] * 31)
+    data = random.Random(6).randbytes(700_000)
+    box = encrypt_stream(data, key)
+    # Builds the key's S-box and fills lazy caches; two chunks also import p3dk._twoproc.
+    small = data[: cipher.CHUNK_BYTES + 1]
+    assert decrypt_stream(_pipe(encrypt_stream(small, key)), key, _Expecting(small)) == len(small)
+    pipe, sink = _pipe(box), _Expecting(data)
+    tracemalloc.start()
+    try:
+        assert decrypt_stream(pipe, key, sink) == len(data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sink.at == len(data)
+    assert peak < 256 * 1024, f"peak {peak} bytes"
+
+
+def _three_chunks():
+    key = bytes([0x2A] * 31)
+    data = random.Random(7).randbytes(2 * cipher.CHUNK_BYTES + 100)
+    return key, data, encrypt_stream(data, key)
+
+
+def test_raw_pipe_with_short_reads_round_trips():
+    """An unbuffered pipe, whose reads return what has arrived (here 10 bytes at a time), decrypts whole."""
+    key, data, box = _three_chunks()
+    assert decrypt_stream(_PipeEnd(box, most=10), key) == data
+    assert encrypt_stream(_PipeEnd(data, most=10), key) == box
+
+
+@pytest.mark.parametrize("keep", (cipher.HEADER_BYTES + 1, 30_000, -1))
+def test_truncated_pipe_is_a_length_error(keep):
+    """A pipe that ends early, in chunk 0, 1 or 2, raises LengthError at the chunk it ends in."""
+    key, data, box = _three_chunks()
+    with pytest.raises(LengthError, match="^container ended [0-9]+ bytes early$"):
+        decrypt_stream(_pipe(box[:keep]), key)
+
+
+def test_pipe_with_a_trailing_byte_is_a_length_error():
+    """A byte past the payload raises LengthError after the last chunk is written."""
+    key, data, box = _three_chunks()
+    payload = len(box) - cipher.HEADER_BYTES
+    out = io.BytesIO()
+    with pytest.raises(LengthError, match=f"^payload runs past the {payload} bytes the header implies$"):
+        decrypt_stream(_pipe(box + b"\x00"), key, out)
+    assert out.getvalue() == data
+    with pytest.raises(LengthError, match="^payload runs past the 0 bytes the header implies$"):
+        decrypt_stream(_pipe(encrypt_stream(b"", key) + b"\x00"), key)
 
 
 def _perfbench_targets():

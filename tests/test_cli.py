@@ -297,7 +297,7 @@ def test_console_entry_point_help():
 
 
 def test_import_loads_no_unused_modules():
-    """`import p3dk, p3dk.cli` leaves the heavy modules encryption does not need unloaded.
+    """`import p3dk` loads the five cipher modules, and `p3dk.cli` no heavy module encryption does not need.
 
     The two-process module stays unloaded through a one-chunk round trip too,
     and a two-chunk round trip loads it.  -S keeps site .pth files from
@@ -309,7 +309,8 @@ def test_import_loads_no_unused_modules():
     ]
     src = Path(__file__).resolve().parents[1] / "src"
     code = (
-        f"import sys; sys.path.insert(0, {str(src)!r}); import p3dk, p3dk.cli; "
+        f"import sys; sys.path.insert(0, {str(src)!r}); import p3dk; "
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'p3dk')); import p3dk.cli; "
         f"unused = lambda: [m for m in {heavy!r} if m in sys.modules]; print(unused()); "
         "key, size = bytes(31), p3dk.cipher.CHUNK_BYTES; "
         "trip = lambda n: p3dk.decrypt_stream(p3dk.encrypt_stream(bytes(n), key), key) == bytes(n); "
@@ -317,7 +318,10 @@ def test_import_loads_no_unused_modules():
     )
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[]", "True []", "True ['p3dk._twoproc']"]
+    assert proc.stdout.splitlines() == [
+        "['p3dk', 'p3dk.cipher', 'p3dk.cube', 'p3dk.errors', 'p3dk.sbox']",
+        "[]", "True []", "True ['p3dk._twoproc']",
+    ]
 
 
 def crypt(verb, key_path, src, dst):
@@ -496,3 +500,31 @@ def test_cli_reads_a_pipe(tmp_path):
     writer.join(timeout=10)
     assert not writer.is_alive()
     assert boxed.read_bytes() == encrypt_stream(data, KEY)
+
+
+@pytest.mark.parametrize("how", ("whole", "truncated", "trailing"))
+def test_cli_decrypts_from_a_pipe(tmp_path, capsys, how):
+    """A 3-chunk container from a FIFO decrypts; cut short or with a byte past its payload, it exits 3 and leaves no file."""
+    key_path, fifo, opened = tmp_path / "key", tmp_path / "fifo", tmp_path / "back"
+    key_path.write_bytes(KEY)
+    os.mkfifo(fifo)
+    data = random.Random(3).randbytes(2 * CHUNK_BYTES + 100)
+    box = encrypt_stream(data, KEY)
+    box = {"whole": box, "truncated": box[:30_000], "trailing": box + b"\x00"}[how]
+    writer = threading.Thread(target=fifo.write_bytes, args=(box,), daemon=True)
+    writer.start()
+    capsys.readouterr()
+    code = crypt("decrypt", key_path, fifo, opened)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    err = capsys.readouterr().err
+    if how == "whole":
+        assert code == 0
+        assert opened.read_bytes() == data
+        return
+    assert code == 3
+    assert err == {
+        "truncated": "format error: container ended 17630 bytes early\n",
+        "trailing": f"format error: payload runs past the {len(box) - HEADER_BYTES - 1} bytes the header implies\n",
+    }[how]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fifo", "key"]

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from p3dk.errors import LengthError, RangeError
-from p3dk.rng import RngState, next_below, next_u64, seed_from_bytes
+from p3dk.cipher import RngState, next_below, next_u64, seed_from_bytes
 
 
 def test_seed_single_zero_byte():

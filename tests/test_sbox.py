@@ -129,6 +129,47 @@ def test_dump_sbox_lines():
 
 
 def test_tables_share_one_set_of_ints():
-    tables = [table for rotation in range(16) for table in sbox._tables(rotation)]
+    tables = [table for rotation in range(16) for table in sbox.build_sbox(rotation)[1:]]
     assert len(tables) == 32
     assert len({id(value) for table in tables for value in table}) <= 4096
+
+
+def _lane_model(n, rotation):
+    """ROADMAP item 2's substitution on n 744-bit states held as one int: 62n lanes of 12 bits.
+
+    K = (8 + R) mod 16 sits in every lane.  No sum carries into the next
+    lane: the forward sum is at most 45, and the inverse adds 48 before it
+    subtracts at most 30.
+    """
+    one = int("001" * 62 * n, 16)
+    nib, lo8, hi8 = 0xF * one, 0xFF * one, 0xFF0 * one
+    k = (sbox.OFFSET + rotation) % sbox.ROTATIONS * one
+
+    def forward(s):
+        return ((s << 4) & hi8) | ((((s >> 8) & nib) + (s & nib) + k) & nib)
+
+    def inverse(s):
+        return ((((s & nib) + 48 * one - ((s >> 4) & nib) - k) & nib) << 8) | ((s >> 4) & lo8)
+
+    return forward, inverse
+
+
+def _joined(states):
+    """States concatenated into one int, the first on top."""
+    return int.from_bytes(b"".join(s.to_bytes(93, "big") for s in states), "big")
+
+
+def test_lane_model_matches_sub_state():
+    """The lane formulas equal sub_state and inv_sub_state for every rotation, one state or 1-8 side by side."""
+    gen = random.Random(19)
+    for rotation in range(16):
+        box = build_sbox(rotation)
+        forward, inverse = _lane_model(1, rotation)
+        for state in [0, (1 << 744) - 1] + [int.from_bytes(gen.randbytes(93), "big") for _ in range(30)]:
+            assert forward(state) == sub_state(box, state)
+            assert inverse(state) == inv_sub_state(box, state)
+        for n in range(1, 9):
+            forward, inverse = _lane_model(n, rotation)
+            states = [int.from_bytes(gen.randbytes(93), "big") for _ in range(n)]
+            assert forward(_joined(states)) == _joined(sub_state(box, s) for s in states)
+            assert inverse(_joined(states)) == _joined(inv_sub_state(box, s) for s in states)
