@@ -17,6 +17,7 @@ import gc
 import random
 import statistics
 import time
+from collections import namedtuple
 
 from . import cube
 from .cipher import (
@@ -58,16 +59,8 @@ SBOXGEN_PASSES = 8
 SBOXGEN_KEPT = 6
 
 
-class BenchReport:
-    """One experiment's rows plus the context needed to rerun it."""
-
-    __slots__ = ("experiment", "unit", "rows", "metadata")
-
-    def __init__(self, experiment: str, unit: str, rows: list[tuple[str, float]], metadata: dict):
-        self.experiment = experiment
-        self.unit = unit
-        self.rows = rows
-        self.metadata = metadata
+# One experiment's rows, (label, value) pairs, plus the metadata needed to rerun it.
+BenchReport = namedtuple("BenchReport", "experiment unit rows metadata")
 
 
 def _now_utc() -> str:

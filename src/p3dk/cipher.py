@@ -243,16 +243,19 @@ def _open_source(source: bytes | io.BufferedIOBase) -> tuple[io.BufferedIOBase, 
     """A binary reader over bytes or a readable binary file, and the byte count left in it.
 
     A bytes object is wrapped without a copy.  The count is None for a file
-    that cannot seek (a pipe).
+    that cannot seek (a pipe) or cannot seek to its end (/proc/version).
     """
     if not hasattr(source, "read"):
         source = io.BytesIO(source)
     if not source.seekable():
         return source, None
     start = source.tell()
-    size = max(0, source.seek(0, os.SEEK_END) - start)  # a position past the end reads nothing
+    try:
+        end = source.seek(0, os.SEEK_END)
+    except OSError:
+        return source, None
     source.seek(start)
-    return source, size
+    return source, max(0, end - start)  # a position past the end reads nothing
 
 
 def _read_up_to(src: io.BufferedIOBase, count: int) -> bytes:
@@ -328,8 +331,10 @@ def encrypt_stream(
 
     Without `out`, return the container as bytes.  With a binary writer
     `out`, write each chunk as soon as it is encrypted and return the number
-    of bytes written.  A file that cannot seek (a pipe) is read whole first,
-    because the header records the length before any block.
+    of bytes written.  A file whose size is unknown (a pipe) is read whole
+    first, because the header records the length before any block.  A file
+    that ends before its reported size, or runs on past it (/dev/urandom
+    reports 0 bytes), raises LengthError.
     """
     src, size = _open_source(plaintext)
     if size is None:
@@ -344,6 +349,8 @@ def encrypt_stream(
         lambda i, data: _encrypt_chunk(data, ek),
         write,
     )
+    if src.read(1):
+        raise LengthError(f"input runs past the {size} bytes it reported")
     if out is None:
         return b"".join(parts)
     nblocks = (8 * size + BLOCK_BITS - 1) // BLOCK_BITS

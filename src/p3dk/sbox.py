@@ -11,8 +11,10 @@ immutable tuple that compares by value.  build_sbox builds each rotation's
 record on its first call and returns that same record after; a box cannot
 change, so sharing is safe.  Every table entry is taken from one tuple of
 the 4096 possible values, so all 32 tables share the same 4096 int objects
-instead of each holding its own copies.  rotate() deliberately performs one
-full table pass per unit so its cost grows linearly with the rotation count.
+instead of each holding its own copies.  R is an additive key on the first
+nibble, forward_R(a, b, c) = forward_0((a + R) mod 16, b, c), so every
+rotation is one table read at a keyed offset:
+forward_R[i] = forward_0[(i + 256R) mod 4096], inverse_R[y] = (inverse_0[y] - 256R) mod 4096.
 
 sub_state and inv_sub_state take the cipher state as one 744-bit int and
 look up its 62 triples, the top 12 bits first, in the forward or the inverse
@@ -34,6 +36,7 @@ _STATE_BITS = 8 * ENCODED_BYTES
 _STATE_LIMIT = 1 << _STATE_BITS
 _WINDOW_SHIFTS = tuple(range(_STATE_BITS - 48, 23, -48))
 _VALUES = tuple(range(TRIPLE_COUNT))
+_DOWN = _VALUES[-256:] + _VALUES[:-256]  # v -> (v - 256) mod 4096
 
 SBox3D = namedtuple("SBox3D", "rotation forward inverse")
 _BOXES: dict[int, SBox3D] = {}
@@ -63,19 +66,14 @@ def build_sbox(rotation: int) -> SBox3D:
 def rotate(box: SBox3D, count: int) -> SBox3D:
     """Apply `count` unit rotations of the output depth layer.
 
-    Each unit physically relabels both tables, so cost is linear in count.
+    Each unit is one full pass over both tables (forward read 256 entries
+    further on, inverse mapped through _DOWN), so cost is linear in count.
     """
-    # up[e] is e with its low nibble stepped up by one, modulo 16, and down[e]
-    # with it stepped down; each unit maps both tables through them in C.
-    up = list(_VALUES[1:] + _VALUES[:1])
-    up[15::16] = _VALUES[0::16]
-    down = list(_VALUES[-1:] + _VALUES[:-1])
-    down[0::16] = _VALUES[15::16]
     forward = box.forward
     inverse = box.inverse
     for _ in range(count):
-        forward = tuple(map(up.__getitem__, forward))
-        inverse = tuple(map(inverse.__getitem__, down))
+        forward = forward[256:] + forward[:256]
+        inverse = tuple(map(_DOWN.__getitem__, inverse))
     return SBox3D((box.rotation + count) % ROTATIONS, forward, inverse)
 
 

@@ -688,6 +688,64 @@ def test_pipe_with_a_trailing_byte_is_a_length_error():
         decrypt_stream(_pipe(encrypt_stream(b"", key) + b"\x00"), key)
 
 
+class _NoSeekToEnd(io.BytesIO):
+    """A file that says it can seek but refuses a seek to its end, as /proc/version does."""
+
+    def seek(self, pos, whence=os.SEEK_SET):
+        if whence == os.SEEK_END:
+            raise OSError(22, "Invalid argument")
+        return super().seek(pos, whence)
+
+
+class _Understated(io.BytesIO):
+    """A file whose end lies `hidden` bytes past where a seek to its end reports it, as /dev/urandom's does."""
+
+    def __init__(self, data: bytes, hidden: int):
+        super().__init__(data)
+        self.hidden = hidden
+
+    def seek(self, pos, whence=os.SEEK_SET):
+        end = super().seek(pos, whence)
+        return end - self.hidden if whence == os.SEEK_END else end
+
+
+def test_a_file_that_cannot_seek_to_its_end_is_read_whole():
+    key, data, box = _three_chunks()
+    assert encrypt_stream(_NoSeekToEnd(data), key) == box
+    assert decrypt_stream(_NoSeekToEnd(box), key) == data
+    if os.path.exists("/proc/version"):
+        with open("/proc/version", "rb") as src:
+            text = src.read()
+        with open("/proc/version", "rb") as src:
+            assert decrypt_stream(encrypt_stream(src, key), key) == text
+
+
+def test_a_file_that_runs_past_its_reported_size_is_a_length_error():
+    """After the last chunk one more byte is read; any byte there raises LengthError."""
+    key, data, box = _three_chunks()
+    for hidden in (1, cipher.CHUNK_BYTES, len(data)):
+        with pytest.raises(LengthError, match=f"^input runs past the {len(data) - hidden} bytes it reported$"):
+            encrypt_stream(_Understated(data, hidden), key)
+    for path in ("/proc/self/cmdline", "/dev/urandom"):
+        if os.path.exists(path):
+            with open(path, "rb") as src, pytest.raises(LengthError, match="^input runs past the 0 bytes it reported$"):
+                encrypt_stream(src, key)
+
+
+def test_bit_length_not_a_whole_number_of_bytes_is_a_format_error():
+    key = bytes([0x2A] * 31)
+    box = bytearray(encrypt_stream(b"payload", key))
+    box[6:14] = (8 * 7 - 3).to_bytes(8, "little")
+    with pytest.raises(FormatError, match="^bit length 53 is not a whole number of bytes$"):
+        decrypt_stream(bytes(box), key)
+
+
+@pytest.mark.parametrize("length", (30, 32))
+def test_unpad_block_needs_31_bytes(length):
+    with pytest.raises(LengthError, match=f"^expected 31 bytes, got {length}$"):
+        cipher.unpad_block(bytes(length))
+
+
 def _perfbench_targets():
     """perfbench/spans.py's TARGETS: (module, attribute, span name) of each call it traces."""
     path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "spans.py")

@@ -528,3 +528,63 @@ def test_cli_decrypts_from_a_pipe(tmp_path, capsys, how):
         "trailing": f"format error: payload runs past the {len(box) - HEADER_BYTES - 1} bytes the header implies\n",
     }[how]
     assert sorted(p.name for p in tmp_path.iterdir()) == ["fifo", "key"]
+
+
+def _existing(path: str) -> str:
+    if not os.path.exists(path):
+        pytest.skip(f"{path} does not exist on this platform")
+    return path
+
+
+def test_a_file_that_cannot_seek_to_its_end_round_trips(tmp_path):
+    """/proc/version says it can seek but refuses a seek to its end, so it is read whole."""
+    path = _existing("/proc/version")
+    key_path, boxed, opened = tmp_path / "key", tmp_path / "box", tmp_path / "back"
+    key_path.write_bytes(KEY)
+    assert crypt("encrypt", key_path, path, boxed) == 0
+    assert crypt("decrypt", key_path, boxed, opened) == 0
+    assert opened.read_bytes() == Path(path).read_bytes()
+
+
+@pytest.mark.parametrize("path", ("/proc/self/cmdline", "/dev/urandom"))
+def test_a_file_that_runs_past_its_size_exits_3_and_leaves_no_file(tmp_path, capsys, path):
+    """Both report a size of 0 and then give bytes: encrypt refuses them rather than write an empty container."""
+    _existing(path)
+    key_path, boxed = tmp_path / "key", tmp_path / "box"
+    key_path.write_bytes(KEY)
+    capsys.readouterr()
+    assert crypt("encrypt", key_path, path, boxed) == 3
+    assert capsys.readouterr().err == "format error: input runs past the 0 bytes it reported\n"
+    assert os.listdir(tmp_path) == ["key"]
+
+
+def test_bit_length_not_a_whole_number_of_bytes_exits_3(tmp_path, capsys):
+    key_path, boxed = tmp_path / "key", tmp_path / "box"
+    key_path.write_bytes(KEY)
+    box = bytearray(encrypt_stream(b"payload", KEY))
+    box[6:14] = (8 * 7 - 3).to_bytes(8, "little")
+    boxed.write_bytes(box)
+    capsys.readouterr()
+    assert crypt("decrypt", key_path, boxed, tmp_path / "back") == 3
+    assert capsys.readouterr().err == "format error: bit length 53 is not a whole number of bytes\n"
+    assert sorted(os.listdir(tmp_path)) == ["box", "key"]
+
+
+def test_bench_filesize_sizes_must_be_integers(tmp_path, capsys):
+    out = str(tmp_path / "f.csv")
+    assert run(["bench", "filesize", "--sizes", "3,x", "--trials", "1", "--out", out]) == 1
+    assert capsys.readouterr().err == "usage error: expected comma-separated integers, got '3,x'\n"
+    assert os.listdir(tmp_path) == []
+
+
+def test_bench_sboxgen_without_sizes_uses_the_default_bit_lengths(tmp_path):
+    csv_path = tmp_path / "s.csv"
+    assert run(["bench", "sboxgen", "--trials", "1", "--out", str(csv_path)]) == 0
+    lines = [line for line in csv_path.read_text().splitlines() if not line.startswith("#")]
+    assert [line.split(",")[0] for line in lines[1:]] == [str(n) for n in bench.DEFAULT_BIT_LENGTHS]
+
+
+def test_bench_without_trials_uses_the_default(tmp_path):
+    csv_path = tmp_path / "r.csv"
+    assert run(["bench", "rotations", "--max-count", "1", "--out", str(csv_path)]) == 0
+    assert "# trials: 5\n" in csv_path.read_text()

@@ -58,6 +58,16 @@ def test_rotate_matches_direct_construction():
         assert rotate(base, n) == build_sbox(n % 16)
 
 
+def test_every_rotation_is_rotation_0_read_at_a_keyed_offset():
+    """R adds to the first nibble: forward_R is forward_0 read 256R entries on, inverse_R subtracts 256R."""
+    base = build_sbox(0)
+    for rotation in range(16):
+        box = build_sbox(rotation)
+        step = 256 * rotation
+        assert box.forward == base.forward[step:] + base.forward[:step]
+        assert box.inverse == tuple((v - step) % 4096 for v in base.inverse)
+
+
 def test_sbox_is_immutable():
     with pytest.raises(AttributeError):
         build_sbox(0).forward = ()

@@ -6,11 +6,15 @@ to a lower plane, so ciphertext planes 0..j depend only on state planes
 0..j, and planes 0, 0-1 and 3 pass through the rounds in ways the key does
 not change.  A change that breaks any test below changes the cipher's
 output, the same as a change that breaks a known-answer vector.
+
+The last tests check a model of whole rounds on n blocks held in one int
+(the lane engine of ROADMAP item 2) against the one-block rounds.
 """
 
 import random
 
-from p3dk import cube
+from test_sbox import _joined, _lane_model
+from p3dk import cipher, cube
 from p3dk.cipher import (
     BLOCK_BITS,
     KEY_BYTES,
@@ -20,6 +24,7 @@ from p3dk.cipher import (
     decrypt_block,
     encrypt_block,
     expand_key_for,
+    expand_key_with,
     mix_columns,
     pad_block,
     shift_rows,
@@ -30,6 +35,7 @@ E0 = expand_key_for(bytes(KEY_BYTES))  # the all-zero key
 PLANE0 = int.from_bytes(b"\x11" * STATE_BYTES, "big")  # bit 0 of every nibble
 PLANES01 = int.from_bytes(b"\x33" * STATE_BYTES, "big")  # bits 0-1 of every nibble
 PLANES012 = int.from_bytes(b"\x77" * STATE_BYTES, "big")  # bits 0-2 of every nibble
+_STATE_MASK = (1 << STATE_BITS) - 1
 
 
 def _block(gen: random.Random) -> bytearray:
@@ -108,3 +114,90 @@ def test_planes_0_and_1_are_quadratic_with_a_keyless_quadratic_part():
         assert derivatives[0] & PLANES01
         if pair == 0:
             assert len({d & PLANES012 for d in derivatives}) > 1
+
+
+def _wide(value: int, n: int) -> int:
+    """A 744-bit value repeated n times, end to end."""
+    return int.from_bytes(value.to_bytes(STATE_BYTES, "big") * n, "big")
+
+
+def _wide_rounds(n: int, ek, row2_mask: bool = True):
+    """ROADMAP item 2's engine, test side: whole rounds on n states in one int, block 0 on top.
+
+    Substitution is test_sbox._lane_model, and the row shift, the column mix
+    and the round keys are the cipher's own masks and keys repeated n times.
+    Every bit a shift_rows mask keeps comes from its own block, but the
+    496-bit down-shifts of the column mixes would carry block i's rows 1 and
+    2 into rows 0 and 1 of the block below it, so those take a row-2 mask
+    (leave it out with row2_mask=False).  Returns (encrypt, decrypt).
+    """
+    forward, inverse = _lane_model(n, ek.sbox_rotation)
+    rk = [_wide(k, n) for k in ek.round_keys]
+    row0, row1, row01, lo1, hi1, lo2, hi2 = (
+        _wide(m, n) for m in (cipher._ROW0, cipher._ROW1, cipher._ROWS01,
+                              cipher._LO1, cipher._HI1, cipher._LO2, cipher._HI2)
+    )
+    row2 = _wide(cipher._ROW2, n) if row2_mask else -1
+
+    def encrypt(s):
+        s ^= rk[0]
+        for r in range(1, ROUNDS + 1):
+            s = forward(s)
+            s = s & row0 | (s & lo1) << 8 | (s & hi1) >> 240 | (s & lo2) << 16 | (s & hi2) >> 232
+            if r % 2 == 0:
+                t = s ^ ((s << 248) & row01)
+                s = t ^ ((t >> 496) & row2)
+            s ^= rk[r]
+        return s
+
+    def decrypt(s):
+        for r in range(ROUNDS, 0, -1):
+            s ^= rk[r]
+            if r % 2 == 0:
+                t = s ^ ((s >> 496) & row2)
+                t ^= (t << 248) & row1
+                s = t ^ ((t << 248) & row0)
+            s = s & row0 | s >> 8 & lo1 | s << 240 & hi1 | s >> 16 & lo2 | s << 232 & hi2
+            s = inverse(s)
+        return s ^ rk[0]
+
+    return encrypt, decrypt
+
+
+def _split(wide: int, n: int) -> list[bytes]:
+    data = wide.to_bytes(n * STATE_BYTES, "big")
+    return [data[i * STATE_BYTES : (i + 1) * STATE_BYTES] for i in range(n)]
+
+
+def test_whole_rounds_at_width_n_match_one_block_at_a_time():
+    """For n = 1..8 and every rotation, n blocks in one int give each block's own result."""
+    gen = random.Random(0x1A4E)
+    for rotation in range(16):
+        ek = expand_key_with(gen.randbytes(KEY_BYTES), gen.randrange(STATE_BITS), rotation)
+        for n in range(1, 9):
+            encrypt, decrypt = _wide_rounds(n, ek)
+            states = [gen.getrandbits(STATE_BITS) for _ in range(n)]
+            assert encrypt(_joined(states)) == _joined(_rounds(s, ek) for s in states)
+            assert decrypt(encrypt(_joined(states))) == _joined(states)
+            blocks = [bytes(_block(gen)) for _ in range(n)]
+            boxes = [encrypt_block(b, ek) for b in blocks]
+            decrypted = _split(decrypt(int.from_bytes(b"".join(boxes), "big")), n)
+            assert [cube.decode_block(c) for c in decrypted] == [decrypt_block(c, ek) for c in boxes] == blocks
+
+
+def test_column_mix_at_width_n_needs_a_row_2_mask():
+    """Without it, each column mix leaks a block's rows 1 and 2 into the block below; block 0 stays right."""
+    gen = random.Random(0x1A4F)
+    ek = expand_key_for(gen.randbytes(KEY_BYTES))
+    n = 4
+    states = [gen.getrandbits(STATE_BITS) for _ in range(n)]
+    right = _split(_wide_rounds(n, ek)[0](_joined(states)), n)
+    leaky = _split(_wide_rounds(n, ek, row2_mask=False)[0](_joined(states)), n)
+    assert leaky[0] == right[0]
+    assert all(leaky[i] != right[i] for i in range(1, n))
+    rows12 = (1 << 2 * STATE_BITS // 3) - 1
+    for mask in (True, False):
+        # All-zero round keys and rotation 8 make every round map 0 to 0, so only a leak reaches block 1.
+        encrypt, decrypt = _wide_rounds(2, cipher.ExpandedKey(0, 8, (0,) * (ROUNDS + 1)), mask)
+        assert (encrypt(_joined([rows12, 0])) & _STATE_MASK != 0) is not mask
+        assert (decrypt(_joined([rows12, 0])) & _STATE_MASK != 0) is not mask
