@@ -35,9 +35,9 @@ _PIPE_BYTES = 65536
 _ENDED = "the worker process ended before a whole message"
 
 
-def _may_fork(nchunks: int) -> bool:
-    """Two chunks or more, fork, two CPUs and no other thread (a fork can copy a held lock)."""
-    if nchunks < 2 or not hasattr(os, "fork"):
+def _may_fork() -> bool:
+    """Fork, two CPUs and no other thread (a fork can copy a held lock)."""
+    if not hasattr(os, "fork"):
         return False
     try:
         return len(os.sched_getaffinity(0)) >= 2 and len(os.listdir("/proc/self/task")) == 1
@@ -81,7 +81,7 @@ def _receive(fd: int, head_bytes: int) -> tuple[bytearray, bytearray]:
 
 
 def run(nchunks: int, read, work, write) -> bool:
-    """write(work(i, read(i))) for i in range(nchunks), in that order, on two processes.
+    """write(work(i, read(i))) for i in range(nchunks), nchunks >= 2, in order, on two processes.
 
     Returns False, having called none of the three, when no child can be made
     here (see _may_fork) or the pipes are smaller than _PIPE_BYTES; the caller
@@ -90,7 +90,7 @@ def run(nchunks: int, read, work, write) -> bool:
     """
     fds, pid = (), None
     try:
-        if _may_fork(nchunks):
+        if _may_fork():
             import fcntl
 
             fds = os.pipe()

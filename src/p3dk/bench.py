@@ -2,14 +2,15 @@
 
 Three timing experiments (encryption time vs file size, table-rotation time
 vs rotation count, per-message setup time vs input bit length) plus an
-avalanche statistic.  All timings use the monotonic clock and time the
-library as it runs: a multi-chunk `encrypt_stream` in `bench_filesize` runs
-on two processes where p3dk._twoproc forks a child.  They discard warmup
-passes and report the median over trials; medians resist scheduler noise
-better than means.  Absolute values are hardware-bound, so tests assert
-shapes (monotonicity, linear fit), never milliseconds.  Reference timings
-from older hardware travel as `ref_*` metadata comments in the CSV, clearly
-separated from measured rows.
+avalanche statistic over a given number of bit flips.  All timings use the
+monotonic clock and time the library as it runs: a multi-chunk
+`encrypt_stream` in `bench_filesize` runs on two processes where
+p3dk._twoproc forks a child.  They discard warmup passes and report the
+median over trials; medians resist scheduler noise better than means.
+Absolute values are hardware-bound, so tests assert shapes (monotonicity,
+linear fit), never milliseconds.  Reference timings from older hardware
+travel as `ref_*` metadata comments in the CSV, clearly separated from
+measured rows.
 """
 
 import contextlib
@@ -23,6 +24,7 @@ from . import cube
 from .cipher import (
     BLOCK_BITS,
     KEY_BYTES,
+    PAD_BITS,
     STATE_BITS,
     encrypt_block,
     encrypt_stream,
@@ -43,7 +45,7 @@ CONTENT_SEED = 0x9D3B
 MAX_SIZE_KB = (2**31 - 1) // 8 // 1024
 
 REF_FILESIZE_S = {20: 28, 35: 58, 155: 261, 333: 468, 512: 501}
-REF_ROTATIONS_MS = {n: round(0.003 * n, 3) for n in range(17)}
+REF_ROTATIONS_MS = {n: round(0.003 * n, 3) for n in range(ROTATIONS + 1)}
 REF_SBOXGEN_MS = {3: 0.0003, 9: 0.0057, 81: 0.0285, 243: 0.057}
 FILESIZE_KEY = bytes([0x5A] * (KEY_BYTES - 1) + [0x40])
 WARMUP = 1  # untimed calls of each timed fn before its first trial
@@ -150,15 +152,15 @@ def bench_filesize(sizes_kb=DEFAULT_SIZES_KB, trials: int = DEFAULT_TRIALS) -> B
     )
 
 
-def bench_rotations(max_count: int = 16, trials: int = DEFAULT_TRIALS) -> BenchReport:
+def bench_rotations(max_count: int = ROTATIONS, trials: int = DEFAULT_TRIALS) -> BenchReport:
     """Median rotate() time for 0..max_count unit table rotations.
 
     All counts are timed side by side, one call each per pass, so slow clock
     or thermal drift lands on every count equally instead of skewing the
     fitted line.
     """
-    if not 0 <= max_count <= 16:
-        raise UsageError(f"max_count must be in [0, 16], got {max_count}")
+    if not 0 <= max_count <= ROTATIONS:
+        raise UsageError(f"max_count must be in [0, {ROTATIONS}], got {max_count}")
     box = build_sbox(0)
     counts = range(max_count + 1)
     medians = _side_by_side_medians(
@@ -220,30 +222,30 @@ def bench_sboxgen(bit_lengths=DEFAULT_BIT_LENGTHS, trials: int = DEFAULT_TRIALS)
     )
 
 
-def avalanche(key_count: int = 10, flips_per_key: int = 100) -> BenchReport:
-    """Fraction of ciphertext bits flipped by single plaintext-bit flips.
+def avalanche(trials: int) -> BenchReport:
+    """Fraction of ciphertext bits flipped by about `trials` single plaintext-bit flips.
 
-    For key_count random keys and flips_per_key random (plaintext, bit)
-    pairs each, encrypts the block before and after the flip and reports
-    the mean and standard deviation of the flipped-bit fraction over the
-    744 ciphertext bits.  The draws come from CONTENT_SEED, so runs repeat.
+    The flips are split over max(1, trials // 100) random keys, rounded up per
+    key (1001 trials are 10 keys of 101 flips).  Each encrypts a random block
+    before and after one bit flip; the report holds the mean and standard
+    deviation of the flipped-bit fraction over the 744 ciphertext bits.  The
+    draws come from CONTENT_SEED, so runs repeat.
     """
-    if key_count < 1 or flips_per_key < 1 or key_count * flips_per_key < 2:
-        raise UsageError("key_count and flips_per_key must be >= 1, with at least 2 flips")
+    if trials < 2:
+        raise UsageError(f"--trials must be >= 2, got {trials}")
+    keys = max(1, trials // 100)
+    flips = -(-trials // keys)
     gen = random.Random(CONTENT_SEED)
     fractions = []
-    for _ in range(key_count):
-        kb = bytearray(gen.randbytes(KEY_BYTES))
-        kb[-1] &= 0xE0
-        ek = expand_key_for(bytes(kb))
-        for _ in range(flips_per_key):
+    for _ in range(keys):
+        key = pad_block(int.from_bytes(gen.randbytes(KEY_BYTES), "big") >> PAD_BITS, BLOCK_BITS)
+        ek = expand_key_for(key)
+        for _ in range(flips):
             bits = gen.getrandbits(BLOCK_BITS)
             position = gen.randrange(BLOCK_BITS)
             c1 = encrypt_block(pad_block(bits, BLOCK_BITS), ek)
             c2 = encrypt_block(pad_block(bits ^ (1 << position), BLOCK_BITS), ek)
-            changed = (
-                int.from_bytes(c1, "big") ^ int.from_bytes(c2, "big")
-            ).bit_count()
+            changed = (int.from_bytes(c1, "big") ^ int.from_bytes(c2, "big")).bit_count()
             fractions.append(changed / STATE_BITS)
     rows = [
         ("mean_flip_fraction", statistics.fmean(fractions)),
@@ -253,8 +255,8 @@ def avalanche(key_count: int = 10, flips_per_key: int = 100) -> BenchReport:
         "avalanche", "fraction", rows, len(fractions),
         warmup=0,
         iterations=1,
-        keys=key_count,
-        flips_per_key=flips_per_key,
+        keys=keys,
+        flips_per_key=flips,
         seed=CONTENT_SEED,
         ciphertext_bits=STATE_BITS,
     )

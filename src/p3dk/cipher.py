@@ -410,9 +410,7 @@ def decrypt_stream(
 
 def generate_master_key() -> bytes:
     """Fresh 31-byte key from system entropy, tail bits zeroed."""
-    kb = bytearray(os.urandom(KEY_BYTES))
-    kb[-1] &= 0xFF ^ _PAD_MASK
-    return bytes(kb)
+    return pad_block(int.from_bytes(os.urandom(KEY_BYTES), "big") >> PAD_BITS, BLOCK_BITS)
 
 
 def validate_master_key(kb: bytes) -> bytes:

@@ -81,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     ))
 
     b = bench_sub.add_parser("rotations", parents=[shared], help="table time vs rotation count")
-    b.add_argument("--max-count", type=int, default=16)
+    b.add_argument("--max-count", type=int, default=ROTATIONS)
     b.set_defaults(measure=lambda bench, a: bench.bench_rotations(a.max_count, trials=a.trials))
 
     b = bench_sub.add_parser("sboxgen", parents=[shared], help="setup time vs input bit length")
@@ -196,11 +196,7 @@ def _cmd_bench(args) -> int:
 def _cmd_avalanche(args) -> int:
     from . import bench
 
-    if args.trials < 2:
-        raise UsageError(f"--trials must be >= 2, got {args.trials}")
-    keys = max(1, args.trials // 100)
-    flips = -(-args.trials // keys)
-    report = bench.avalanche(keys, flips)
+    report = bench.avalanche(args.trials)
     _write_reports({args.out: bench.render_csv(report)})
     stats = dict(report.rows)
     print(

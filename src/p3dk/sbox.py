@@ -64,11 +64,13 @@ def build_sbox(rotation: int) -> SBox3D:
 
 
 def rotate(box: SBox3D, count: int) -> SBox3D:
-    """Apply `count` unit rotations of the output depth layer.
+    """Apply `count` >= 0 unit rotations of the output depth layer.
 
     Each unit is one full pass over both tables (forward read 256 entries
     further on, inverse mapped through _DOWN), so cost is linear in count.
     """
+    if count < 0:
+        raise RangeError(f"rotation count must be >= 0, got {count}")
     forward = box.forward
     inverse = box.inverse
     for _ in range(count):

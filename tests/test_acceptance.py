@@ -164,7 +164,7 @@ def test_criterion_06_known_answer_stability():
 
 
 def test_criterion_07_diffusion_gate():
-    report = bench.avalanche(10, 100)
+    report = bench.avalanche(1000)
     stats = dict(report.rows)
     mean = stats["mean_flip_fraction"]
     stdev = stats["stdev_flip_fraction"]

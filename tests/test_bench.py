@@ -87,7 +87,7 @@ def test_experiments_reject_zero_trials(measure):
 
 
 def test_avalanche_statistics():
-    report = avalanche(1, 30)
+    report = avalanche(30)
     stats = dict(report.rows)
     assert 0 < stats["mean_flip_fraction"] < 1
     assert stats["stdev_flip_fraction"] >= 0
@@ -95,20 +95,18 @@ def test_avalanche_statistics():
 
 
 def test_avalanche_deterministic_for_fixed_seed():
-    assert avalanche(1, 25).rows == avalanche(1, 25).rows
+    assert avalanche(25).rows == avalanche(25).rows
 
 
 def test_avalanche_rejects_zero_trials():
     with pytest.raises(UsageError):
-        avalanche(0, 10)
-    with pytest.raises(UsageError):
-        avalanche(10, 0)
+        avalanche(0)
 
 
 def test_avalanche_needs_two_flips():
     with pytest.raises(UsageError):
-        avalanche(1, 1)
-    assert avalanche(1, 2).metadata["trials"] == "2"
+        avalanche(1)
+    assert avalanche(2).metadata["trials"] == "2"
 
 
 def test_csv_round_trip():

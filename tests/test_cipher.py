@@ -1,4 +1,5 @@
 import collections
+import errno
 import importlib
 import importlib.util
 import io
@@ -312,7 +313,7 @@ def test_multi_chunk_stream_matches_oracle(size, monkeypatch):
     box = encrypt_stream(data, key)
     assert box == kat_oracle.encrypt_container(data, key)
     assert decrypt_stream(box, key) == data
-    assert len(forks) == (2 if size > cipher.CHUNK_BYTES and _twoproc._may_fork(2) else 0)
+    assert len(forks) == (2 if size > cipher.CHUNK_BYTES and _twoproc._may_fork() else 0)
 
 
 def _flip(box: bytes, *blocks: int) -> bytes:
@@ -339,7 +340,7 @@ def test_chunk_errors_are_raised_in_stream_order(monkeypatch):
     forked = _decrypt_error(in_chunk1, key, out)
     assert out.getvalue() == data[: cipher.CHUNK_BYTES]
     assert str(_decrypt_error(both, key)).startswith("block 10 (container bytes 944-1036): ")
-    monkeypatch.setattr(_twoproc, "_may_fork", lambda nchunks: False)
+    monkeypatch.setattr(_twoproc, "_may_fork", lambda: False)
     serial = _decrypt_error(in_chunk1, key)
     assert (type(forked), str(forked)) == (type(serial), str(serial))
     assert str(serial).startswith("block 300 (container bytes 27914-28006): ")
@@ -357,7 +358,7 @@ def six_chunks():
 def test_an_error_is_raised_at_its_chunks_turn(six_chunks, k, forked, monkeypatch):
     """A bad chunk k raises after chunks 0..k-1 are written, alone or before bad chunks after it."""
     if not forked:
-        monkeypatch.setattr(_twoproc, "_may_fork", lambda nchunks: False)
+        monkeypatch.setattr(_twoproc, "_may_fork", lambda: False)
     key, data, box = six_chunks
     bad = [j * cipher.CHUNK_BLOCKS for j in range(k, 6)]
     start = cipher.HEADER_BYTES + bad[0] * STATE_BYTES
@@ -389,7 +390,7 @@ def _run_stand_ins(nchunks: int, child_delay: float):
 
 
 _needs_fork = pytest.mark.skipif(
-    not _twoproc._may_fork(2), reason="this process does not fork (one CPU, no fork, or other threads)"
+    not _twoproc._may_fork(), reason="this process does not fork (one CPU, no fork, or other threads)"
 )
 
 
@@ -430,6 +431,35 @@ def test_pipes_too_small_for_the_queue_leave_one_process(monkeypatch):
     assert len(os.listdir("/proc/self/fd")) == fds
 
 
+def _refuse(error):
+    def call():
+        raise error
+
+    return call
+
+
+@_needs_fork
+@pytest.mark.parametrize(
+    "name, error",
+    [
+        ("fork", BlockingIOError(errno.EAGAIN, "fork refused")),
+        ("pipe", OSError(errno.EMFILE, "too many open files")),
+    ],
+    ids=("fork-EAGAIN", "pipe-EMFILE"),
+)
+def test_a_failed_fork_or_pipe_leaves_one_process(name, error, monkeypatch):
+    """With no pipe or no child, run reads nothing and leaks no descriptor; the stream still runs."""
+    monkeypatch.setattr(os, name, _refuse(error))
+    fds = len(os.listdir("/proc/self/fd"))
+    assert not _twoproc.run(3, pytest.fail, pytest.fail, pytest.fail)
+    assert len(os.listdir("/proc/self/fd")) == fds
+    gen = random.Random(28)
+    key, data = gen.randbytes(31), gen.randbytes(2 * cipher.CHUNK_BYTES + 100)
+    box = encrypt_stream(data, key)
+    assert box == kat_oracle.encrypt_container(data, key)
+    assert decrypt_stream(box, key) == data
+
+
 @_needs_fork
 def test_dispatch_raises_a_read_error_at_its_turn():
     """A read that fails while a slow child holds earlier chunks raises once they are written."""
@@ -452,7 +482,7 @@ def test_dispatch_raises_a_read_error_at_its_turn():
 
 def test_a_chunk_the_child_fails_on_is_computed_again(monkeypatch):
     """A fault only the child meets is recovered from; a child that dies raises BrokenPipeError."""
-    if not _twoproc._may_fork(2):
+    if not _twoproc._may_fork():
         pytest.skip("this process does not fork (one CPU, no fork, or other threads)")
     parent, encrypt, fault = os.getpid(), cipher.encrypt_block, [lambda: int("boom")]
 
@@ -568,7 +598,7 @@ try:
 except IntegrityError as exc:
     assert str(exc).startswith("block 300 (container bytes 27914-28006): "), exc
 assert out.getvalue() == data[:7776]
-print(len(forks), _twoproc._may_fork(2))
+print(len(forks), _twoproc._may_fork())
 """
     assert _run_python(code) in ("3 True\n", "0 False\n")
 
@@ -894,12 +924,15 @@ def _forged_containers(draw):
     )
 )
 def test_decrypt_stream_rejects_or_round_trips(case):
-    """Any input either raises P3DKError or is the canonical container of what it returns."""
+    """Any input, bytes or piped, raises P3DKError or is the canonical container of what it returns."""
     key, box = case
     try:
         plain = decrypt_stream(box, key)
     except P3DKError:
+        with pytest.raises(P3DKError):
+            decrypt_stream(_pipe(box), key)
         return
+    assert decrypt_stream(_pipe(box), key) == plain
     assert encrypt_stream(plain, key) == box
 
 

@@ -400,7 +400,7 @@ def test_failed_decrypt_leaves_no_output(tmp_path, how, existing):
 
 def test_a_worker_that_dies_is_an_io_error(tmp_path, capsys, monkeypatch):
     """A forked worker that ends mid-stream makes encrypt exit 2 with one line and no files."""
-    if not _twoproc._may_fork(2):
+    if not _twoproc._may_fork():
         pytest.skip("this process does not fork (one CPU, no fork, or other threads)")
     parent, encrypt = os.getpid(), cipher.encrypt_block
 

@@ -78,6 +78,13 @@ def test_rotate_composes():
     assert rotate(rotate(box, 4), 5) == rotate(box, 9)
 
 
+@pytest.mark.parametrize("count", (-1, -16))
+def test_rotate_refuses_a_negative_count(count):
+    """No record comes back whose rotation number disagrees with its tables."""
+    with pytest.raises(RangeError, match=f"^rotation count must be >= 0, got {count}$"):
+        rotate(build_sbox(0), count)
+
+
 def test_sub_state_all_zero_rotation_eight():
     assert sub_state(build_sbox(8), 0) == 0
 
