@@ -188,8 +188,7 @@ def _setup_message(length_bits: int, payload: int) -> None:
     """The per-message setup path: pad, cube-encode, seed, fetch S-box."""
     nbytes = (length_bits + 7) // 8
     data = (payload << (8 * nbytes - length_bits)).to_bytes(nbytes, "big")
-    rng = seed_from_bytes(cube.encode_bytes(data))
-    build_sbox(next_below(rng, ROTATIONS))
+    build_sbox(next_below(seed_from_bytes(cube.encode_bytes(data)), ROTATIONS)[0])
 
 
 def bench_sboxgen(bit_lengths=DEFAULT_BIT_LENGTHS, trials: int = DEFAULT_TRIALS) -> BenchReport:

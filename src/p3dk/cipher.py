@@ -16,11 +16,16 @@ integer bit-rotated left by 47*r mod 744 (47 is coprime to 744, so all 17
 round keys differ), taken as a 744-bit window of the integer doubled (written
 twice, end to end).  rho and the S-box rotation come from a keyed generator,
 FNV-1a seeding plus xorshift64 (a deterministic schedule, not a CSPRNG),
-seeded with the master key bytes so the decryptor re-derives them.  The draw
-order is part of the cipher contract:
+seeded with the master key bytes so the decryptor re-derives them.  The
+state is a nonzero 64-bit int; next_below(state, n) returns a draw and the
+advanced state, which the next draw takes.  The draw order is part of the
+cipher contract:
 
     draw 1: rho, next_below(state, 744)
     draw 2: S-box rotation, next_below(state, 16)
+
+An ExpandedKey is the 17 round keys and the S-box record; rho is kept only
+as the rotation of round key 0, and the S-box rotation as sbox.rotation.
 
 Blocks are independent (codebook mode) and the container records the true
 plaintext bit length:
@@ -38,6 +43,7 @@ claims (see README).
 
 import io
 import os
+from collections import namedtuple
 
 from . import cube
 from .errors import FormatError, IntegrityError, KeyFormatError, LengthError, RangeError
@@ -110,54 +116,27 @@ def rotl_bits(x: int, count: int) -> int:
     return ((x << count) | (x >> (STATE_BITS - count))) & _STATE_MASK
 
 
-class RngState:
-    """64-bit xorshift state; never zero once seeded."""
-
-    __slots__ = ("s",)
-
-    def __init__(self, s: int):
-        self.s = s
-
-
-def seed_from_bytes(key_bytes: bytes) -> RngState:
-    """Fold key bytes with FNV-1a into a nonzero 64-bit state."""
+def seed_from_bytes(key_bytes: bytes) -> int:
+    """Fold key bytes with FNV-1a into a nonzero 64-bit xorshift state."""
     if len(key_bytes) == 0:
         raise LengthError("cannot seed from empty input")
     s = FNV_OFFSET
     for b in key_bytes:
         s = ((s ^ b) * FNV_PRIME) & _MASK64
-    if s == 0:
-        s = FNV_OFFSET
-    return RngState(s)
+    return s or FNV_OFFSET
 
 
-def next_u64(state: RngState) -> int:
-    """Advance the xorshift64 state in place and return the new value."""
-    s = state.s
-    s ^= (s << 13) & _MASK64
-    s ^= s >> 7
-    s ^= (s << 17) & _MASK64
-    state.s = s
-    return s
-
-
-def next_below(state: RngState, n: int) -> int:
-    """Draw a value in [0, n)."""
+def next_below(state: int, n: int) -> tuple[int, int]:
+    """One xorshift64 step from a nonzero state: the new state modulo n, and the new state."""
     if n < 1:
         raise RangeError(f"modulus must be >= 1, got {n}")
-    return next_u64(state) % n
+    state ^= (state << 13) & _MASK64
+    state ^= state >> 7
+    state ^= (state << 17) & _MASK64
+    return state % n, state
 
 
-class ExpandedKey:
-    """The keyed rotation draws, the 17 round keys as 744-bit ints, and the S-box."""
-
-    __slots__ = ("rho", "sbox_rotation", "round_keys", "_sbox")
-
-    def __init__(self, rho: int, sbox_rotation: int, round_keys: tuple[int, ...]):
-        self.rho = rho
-        self.sbox_rotation = sbox_rotation
-        self.round_keys = round_keys
-        self._sbox = build_sbox(sbox_rotation)
+ExpandedKey = namedtuple("ExpandedKey", "round_keys sbox")
 
 
 def expand_key_with(master: bytes, rho: int, sbox_rotation: int) -> ExpandedKey:
@@ -170,7 +149,7 @@ def expand_key_with(master: bytes, rho: int, sbox_rotation: int) -> ExpandedKey:
         (kk >> (STATE_BITS - ROUND_KEY_STRIDE * r % STATE_BITS)) & _STATE_MASK
         for r in range(ROUNDS + 1)
     )
-    return ExpandedKey(rho, sbox_rotation, round_keys)
+    return ExpandedKey(round_keys, build_sbox(sbox_rotation))
 
 
 def expand_key_for(master: bytes) -> ExpandedKey:
@@ -179,9 +158,8 @@ def expand_key_for(master: bytes) -> ExpandedKey:
     A key of any other length raises KeyFormatError before the generator is seeded.
     """
     _check_key_length(master)
-    rng = seed_from_bytes(master)
-    rho = next_below(rng, STATE_BITS)
-    sbox_rotation = next_below(rng, ROTATIONS)
+    rho, state = next_below(seed_from_bytes(master), STATE_BITS)
+    sbox_rotation, _ = next_below(state, ROTATIONS)
     return expand_key_with(master, rho, sbox_rotation)
 
 
@@ -212,7 +190,7 @@ def inv_mix_columns(state: int) -> int:
 def encrypt_block(p31: bytes, ek: ExpandedKey) -> bytes:
     """Encrypt one padded 31-byte block to a 93-byte ciphertext block."""
     rk = ek.round_keys
-    box = ek._sbox
+    box = ek.sbox
     state = int.from_bytes(cube.encode_block(p31), "big") ^ rk[0]
     for r in range(1, ROUNDS + 1):
         state = sub_state(box, state)
@@ -228,7 +206,7 @@ def decrypt_block(c93: bytes, ek: ExpandedKey) -> bytes:
     if len(c93) != STATE_BYTES:
         raise LengthError(f"ciphertext block must be {STATE_BYTES} bytes, got {len(c93)}")
     rk = ek.round_keys
-    box = ek._sbox
+    box = ek.sbox
     state = int.from_bytes(c93, "big")
     for r in range(ROUNDS, 0, -1):
         state ^= rk[r]
@@ -290,7 +268,11 @@ def _encrypt_chunk(data: bytes, ek: ExpandedKey) -> bytearray:
 
 
 def _decrypt_chunk(payload: bytes, first: int, bit_len: int, ek: ExpandedKey) -> bytes:
-    """Decrypt a chunk that starts at block `first`; a failing block is named in the error."""
+    """Decrypt a chunk that starts at block `first`; a failing block is named in the error.
+
+    A chunk is a whole number of bytes; a run of blocks that is not, such as
+    block 0 alone, comes back right-aligned in whole bytes.
+    """
     count = len(payload) // STATE_BYTES
     value = 0
     try:
@@ -306,7 +288,7 @@ def _decrypt_chunk(payload: bytes, first: int, bit_len: int, ek: ExpandedKey) ->
         raise type(exc)(
             f"block {first + i} (container bytes {start}-{start + STATE_BYTES - 1}): {exc}"
         ) from None
-    return (value >> excess).to_bytes(nbits // 8, "big")
+    return (value >> excess).to_bytes((nbits + 7) // 8, "big")
 
 
 def _write_in_order(nchunks: int, read, work, write) -> None:
@@ -367,7 +349,10 @@ def decrypt_stream(
     seek (a pipe) is read chunk by chunk, as files are, and raises
     LengthError where its payload ends early or after the last chunk if it
     runs on.  A corrupted block raises at that block, with the block index and
-    its container byte range in the message.
+    its container byte range in the message.  Bytes or a file of two chunks
+    or more have block 0 decrypted once before any chunk, so a wrong key
+    fails there before p3dk._twoproc forks; a pipe is not checked first, so
+    it forks before its first block fails.
     Only the one canonical container of each plaintext is accepted: non-zero
     pad bits, or non-zero bits past the recorded length in the last block,
     raise IntegrityError.  Without `out`, return the plaintext as bytes.  With
@@ -394,9 +379,15 @@ def decrypt_stream(
             f"payload is {size - HEADER_BYTES} bytes, header implies {nblocks * STATE_BYTES}"
         )
     ek = expand_key_for(master)
+    nchunks = (nblocks + CHUNK_BLOCKS - 1) // CHUNK_BLOCKS
+    if size is not None and nchunks >= 2:
+        # Block 0 first, so a wrong key fails here rather than after a fork.
+        start = src.tell()
+        _decrypt_chunk(src.read(STATE_BYTES), 0, bit_len, ek)
+        src.seek(start)
     parts = []
     _write_in_order(
-        (nblocks + CHUNK_BLOCKS - 1) // CHUNK_BLOCKS,
+        nchunks,
         lambda i: _read_exact(
             src, min(CHUNK_BLOCKS, nblocks - i * CHUNK_BLOCKS) * STATE_BYTES, "container"
         ),

@@ -90,8 +90,7 @@ def test_expand_key_with_forced_zero_rotation():
 def test_expand_key_draws_from_seeded_rng():
     key = bytes([0x2A] * 31)
     ek = expand_key_for(key)
-    assert ek.rho == 444
-    assert ek.sbox_rotation == 12
+    assert ek.sbox.rotation == 12
     assert ek.round_keys[0] == rotl_bits(int.from_bytes(cube.encode_block(key), "big"), 444)
 
 
@@ -116,7 +115,8 @@ def test_key_schedule_matches_oracle():
         key = gen.randbytes(31)
         ek = expand_key_for(key)
         rho, rotation, round_keys = kat_oracle.key_schedule(key)
-        assert (ek.rho, ek.sbox_rotation) == (rho, rotation)
+        assert ek.sbox.rotation == rotation
+        assert ek.round_keys[0] == rotl_bits(int.from_bytes(cube.encode_block(key), "big"), rho)
         assert ek.round_keys == tuple(int.from_bytes(k, "big") for k in round_keys)
 
 
@@ -344,6 +344,24 @@ def test_chunk_errors_are_raised_in_stream_order(monkeypatch):
     serial = _decrypt_error(in_chunk1, key)
     assert (type(forked), str(forked)) == (type(serial), str(serial))
     assert str(serial).startswith("block 300 (container bytes 27914-28006): ")
+
+
+def test_a_wrong_key_fails_at_block_0_before_any_fork(tmp_path, monkeypatch):
+    """Bytes or a file of three chunks raise the one-process error under a wrong key, with no fork."""
+    gen = random.Random(29)
+    key, wrong = gen.randbytes(31), gen.randbytes(31)
+    box = encrypt_stream(gen.randbytes(2 * cipher.CHUNK_BYTES + 100), key)
+    path = tmp_path / "box.p3dk"
+    path.write_bytes(box)
+    monkeypatch.setattr(_twoproc, "_may_fork", lambda: False)
+    serial = _decrypt_error(box, wrong)
+    assert str(serial).startswith("block 0 (container bytes 14-106): ")
+    monkeypatch.setattr(_twoproc, "_may_fork", lambda: True)
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked before block 0 was checked"))
+    with open(path, "rb") as src:
+        for source in (box, src):
+            error = _decrypt_error(source, wrong)
+            assert (type(error), str(error)) == (type(serial), str(serial))
 
 
 @pytest.fixture(scope="module")

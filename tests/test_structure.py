@@ -79,7 +79,7 @@ def test_one_known_pair_predicts_plane_0_of_any_ciphertext():
 
 def _rounds(state: int, ek) -> int:
     """encrypt_block's key XOR and rounds, from the public layers, on any 744-bit state."""
-    box = build_sbox(ek.sbox_rotation)
+    box = ek.sbox
     state ^= ek.round_keys[0]
     for r in range(1, ROUNDS + 1):
         state = shift_rows(sub_state(box, state))
@@ -131,7 +131,7 @@ def _wide_rounds(n: int, ek, row2_mask: bool = True):
     2 into rows 0 and 1 of the block below it, so those take a row-2 mask
     (leave it out with row2_mask=False).  Returns (encrypt, decrypt).
     """
-    forward, inverse = _lane_model(n, ek.sbox_rotation)
+    forward, inverse = _lane_model(n, ek.sbox.rotation)
     rk = [_wide(k, n) for k in ek.round_keys]
     row0, row1, row01, lo1, hi1, lo2, hi2 = (
         _wide(m, n) for m in (cipher._ROW0, cipher._ROW1, cipher._ROWS01,
@@ -198,6 +198,6 @@ def test_column_mix_at_width_n_needs_a_row_2_mask():
     rows12 = (1 << 2 * STATE_BITS // 3) - 1
     for mask in (True, False):
         # All-zero round keys and rotation 8 make every round map 0 to 0, so only a leak reaches block 1.
-        encrypt, decrypt = _wide_rounds(2, cipher.ExpandedKey(0, 8, (0,) * (ROUNDS + 1)), mask)
+        encrypt, decrypt = _wide_rounds(2, cipher.ExpandedKey((0,) * (ROUNDS + 1), build_sbox(8)), mask)
         assert (encrypt(_joined([rows12, 0])) & _STATE_MASK != 0) is not mask
         assert (decrypt(_joined([rows12, 0])) & _STATE_MASK != 0) is not mask
