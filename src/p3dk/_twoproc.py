@@ -12,11 +12,14 @@ ones at the child included.  Which process computes a chunk thus varies with
 load, but the output does not, nor do the errors: an error from this
 process's own work, from a chunk the child failed on (sent back and computed
 again here) or from a read is raised only at its chunk's turn to be written,
-as on one process.
+as on one process.  Both processes read their pipe through
+`p3dk.cipher._read_up_to`, the package's one short-read loop.
 """
 
 import os
 import select
+
+from .cipher import _read_up_to
 
 QUEUE = 2  # chunks sent to the child and not yet answered
 # Chunks read and not yet written, the ones at the child included.  Five let
@@ -56,25 +59,14 @@ def _send(fd: int, head: bytes, data: bytes) -> None:
         raise BrokenPipeError(_ENDED) from None
 
 
-def _read(fd: int, count: int) -> bytearray:
-    """Up to `count` bytes from a pipe, into one buffer; fewer only if it closes first."""
-    data = bytearray(count)
-    got = 0
-    with memoryview(data) as view:
-        while got < count:
-            part = os.readv(fd, [view[got:]])
-            if not part:
-                break
-            got += part
-    del data[got:]
-    return data
+def _receive(src, head_bytes: int) -> tuple[bytearray, bytearray]:
+    """The head and the data of the next message _send wrote; BrokenPipeError if the pipe closes first.
 
-
-def _receive(fd: int, head_bytes: int) -> tuple[bytearray, bytearray]:
-    """The head and the data of the next message _send wrote; BrokenPipeError if the pipe closes first."""
-    head = _read(fd, head_bytes + 4)
+    `src` is unbuffered, so no byte of a later message waits where poll cannot see it.
+    """
+    head = _read_up_to(src, head_bytes + 4)
     size = int.from_bytes(head[head_bytes:], "big")
-    data = _read(fd, size)
+    data = _read_up_to(src, size)
     if len(head) < head_bytes + 4 or len(data) < size:
         raise BrokenPipeError(_ENDED)
     return head[:head_bytes], data
@@ -115,8 +107,9 @@ def run(nchunks: int, read, work, write) -> bool:
             import gc
 
             gc.freeze()
+            jobs = open(jobs_r, "rb", buffering=0, closefd=False)
             while True:
-                head, data = _receive(jobs_r, 8)
+                head, data = _receive(jobs, 8)
                 i = int.from_bytes(head, "big")
                 try:
                     status, out = b"=", work(i, data)
@@ -126,7 +119,8 @@ def run(nchunks: int, read, work, write) -> bool:
         finally:
             os._exit(0)
     try:
-        _dispatch(nchunks, read, work, write, jobs_w, results_r)
+        results = open(results_r, "rb", buffering=0, closefd=False)
+        _dispatch(nchunks, read, work, write, jobs_w, results)
     finally:
         os.close(jobs_w)
         os.close(results_r)
@@ -137,7 +131,7 @@ def run(nchunks: int, read, work, write) -> bool:
     return True
 
 
-def _dispatch(nchunks: int, read, work, write, jobs: int, results: int) -> None:
+def _dispatch(nchunks: int, read, work, write, jobs: int, results) -> None:
     """The parent's side of run: read, hand out, compute and write in stream order."""
     ready = {}  # the reorder buffer: chunk index -> its output, or the error to raise at its turn
     sent = []  # the index of each chunk at the child, oldest first
@@ -180,17 +174,17 @@ def _dispatch(nchunks: int, read, work, write, jobs: int, results: int) -> None:
     held = take()  # chunk 0 is always computed here, once the child has work
     while nwritten < nchunks:
         collect(0)
-        while nwritten in ready:
-            out = ready.pop(nwritten)
-            if isinstance(out, Exception):
-                raise out
-            write(out)
+        while nwritten in ready:  # popped into write, so no name holds a written chunk
+            if isinstance(ready[nwritten], Exception):
+                raise ready.pop(nwritten)
+            write(ready.pop(nwritten))
             nwritten += 1
         while len(sent) < QUEUE and can_read():
             job = take()
             if job:
                 _send(jobs, job[0].to_bytes(8, "big"), job[1])
                 sent.append(job[0])
+        job = None  # nor the input of a chunk the child has
         if held is None and can_read():  # the child's queue is full
             held = take()
         if held is not None:

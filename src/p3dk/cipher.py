@@ -236,15 +236,16 @@ def _open_source(source: bytes | io.BufferedIOBase) -> tuple[io.BufferedIOBase, 
     return source, max(0, end - start)  # a position past the end reads nothing
 
 
-def _read_up_to(src: io.BufferedIOBase, count: int) -> bytes:
-    """`count` bytes, or fewer only where src ends: one read of a raw pipe can return fewer."""
-    data = src.read(count)
-    while len(data) < count and (more := src.read(count - len(data))):
-        data += more
-    return data
+def _read_up_to(src: io.RawIOBase | io.BufferedIOBase, count: int) -> bytearray:
+    """`count` bytes in one buffer, fewer only where src ends: one read of a pipe may give fewer."""
+    data = bytearray(count)
+    got = 0
+    while got < count and (part := src.readinto(memoryview(data)[got:] if got else data)):
+        got += part
+    return data if got == count else data[:got]
 
 
-def _read_exact(src: io.BufferedIOBase, count: int, what: str) -> bytes:
+def _read_exact(src: io.RawIOBase | io.BufferedIOBase, count: int, what: str) -> bytearray:
     data = _read_up_to(src, count)
     if len(data) != count:
         raise LengthError(f"{what} ended {count - len(data)} bytes early")
@@ -349,10 +350,9 @@ def decrypt_stream(
     seek (a pipe) is read chunk by chunk, as files are, and raises
     LengthError where its payload ends early or after the last chunk if it
     runs on.  A corrupted block raises at that block, with the block index and
-    its container byte range in the message.  Bytes or a file of two chunks
-    or more have block 0 decrypted once before any chunk, so a wrong key
-    fails there before p3dk._twoproc forks; a pipe is not checked first, so
-    it forks before its first block fails.
+    its container byte range in the message.  A container of two chunks or
+    more has block 0 of its first chunk decrypted once before any chunk is
+    written, so a wrong key fails there before p3dk._twoproc forks.
     Only the one canonical container of each plaintext is accepted: non-zero
     pad bits, or non-zero bits past the recorded length in the last block,
     raise IntegrityError.  Without `out`, return the plaintext as bytes.  With
@@ -365,7 +365,7 @@ def decrypt_stream(
     if len(header) < HEADER_BYTES:
         raise FormatError("container shorter than its header")
     if header[:4] != MAGIC:
-        raise FormatError(f"bad magic {header[:4]!r}")
+        raise FormatError(f"bad magic {bytes(header[:4])!r}")
     if header[4] != VERSION:
         raise FormatError(f"unsupported version {header[4]}")
     if header[5] != 0:
@@ -380,17 +380,19 @@ def decrypt_stream(
         )
     ek = expand_key_for(master)
     nchunks = (nblocks + CHUNK_BLOCKS - 1) // CHUNK_BLOCKS
-    if size is not None and nchunks >= 2:
-        # Block 0 first, so a wrong key fails here rather than after a fork.
-        start = src.tell()
-        _decrypt_chunk(src.read(STATE_BYTES), 0, bit_len, ek)
-        src.seek(start)
+
+    def read(i: int) -> bytearray:
+        count = min(CHUNK_BLOCKS, nblocks - i * CHUNK_BLOCKS) * STATE_BYTES
+        return _read_exact(src, count, "container")
+
+    first = []  # chunk 0, read here to check block 0 before any fork; _write_in_order takes it
+    if nchunks >= 2:
+        first.append(read(0))
+        _decrypt_chunk(first[0][:STATE_BYTES], 0, bit_len, ek)
     parts = []
     _write_in_order(
         nchunks,
-        lambda i: _read_exact(
-            src, min(CHUNK_BLOCKS, nblocks - i * CHUNK_BLOCKS) * STATE_BYTES, "container"
-        ),
+        lambda i: first.pop() if first else read(i),
         lambda i, payload: _decrypt_chunk(payload, i * CHUNK_BLOCKS, bit_len, ek),
         parts.append if out is None else out.write,
     )

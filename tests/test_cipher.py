@@ -347,7 +347,7 @@ def test_chunk_errors_are_raised_in_stream_order(monkeypatch):
 
 
 def test_a_wrong_key_fails_at_block_0_before_any_fork(tmp_path, monkeypatch):
-    """Bytes or a file of three chunks raise the one-process error under a wrong key, with no fork."""
+    """Bytes, a file or a pipe of three chunks raise the one-process error under a wrong key, unforked."""
     gen = random.Random(29)
     key, wrong = gen.randbytes(31), gen.randbytes(31)
     box = encrypt_stream(gen.randbytes(2 * cipher.CHUNK_BYTES + 100), key)
@@ -359,7 +359,7 @@ def test_a_wrong_key_fails_at_block_0_before_any_fork(tmp_path, monkeypatch):
     monkeypatch.setattr(_twoproc, "_may_fork", lambda: True)
     monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked before block 0 was checked"))
     with open(path, "rb") as src:
-        for source in (box, src):
+        for source in (box, src, _PipeEnd(box, most=1000)):
             error = _decrypt_error(source, wrong)
             assert (type(error), str(error)) == (type(serial), str(serial))
 
@@ -663,6 +663,37 @@ class _PipeEnd(io.RawIOBase):
 def _pipe(data: bytes) -> io.BufferedReader:
     """A buffered reader over a pipe that holds `data`, as open() gives for a FIFO."""
     return io.BufferedReader(_PipeEnd(data))
+
+
+class _Trickle(_PipeEnd):
+    """A raw reader that gives 1 to 7 bytes per readinto, as a pipe fed in small writes can."""
+
+    def readinto(self, buf):
+        self._most = 1 + (self._at * 5 + 3) % 7
+        return super().readinto(buf)
+
+
+def _os_pipe(data: bytes) -> io.FileIO:
+    """The unbuffered read end of a real pipe, fed `data` 7 bytes per write by a thread."""
+    r, w = os.pipe()
+
+    def feed():
+        with open(w, "wb", buffering=0) as end:
+            for at in range(0, len(data), 7):
+                end.write(data[at : at + 7])
+
+    threading.Thread(target=feed, daemon=True).start()
+    return open(r, "rb", buffering=0)
+
+
+@pytest.mark.parametrize("source", (io.BytesIO, _Trickle, _os_pipe), ids=("BytesIO", "1-7", "os.pipe"))
+def test_read_up_to_gives_count_bytes_and_fewer_only_at_the_end(source):
+    """The stream layer's one short-read loop, which _twoproc's pipes use too."""
+    data = random.Random(31).randbytes(500)
+    with source(data) as src:
+        got = [cipher._read_up_to(src, count) for count in (0, 1, 93, 200, 300, 5, 5)]
+    assert [len(part) for part in got] == [0, 1, 93, 200, 206, 0, 0]
+    assert b"".join(got) == data
 
 
 class _Expecting:
