@@ -33,14 +33,14 @@ plaintext bit length:
     magic "P3DK" | version 0x01 | flags 0x00 | bit length (8B LE) | blocks
 
 The stream functions read and write CHUNK_BYTES of plaintext (CHUNK_BLOCKS
-blocks) at a time, so their memory does not grow with the input when they
-are given files; a stream of two chunks or more may share them with one forked
-child (`p3dk._twoproc`).
+blocks) at a time, so their memory does not grow with the input; a stream of
+two chunks or more may share them with one forked child (`p3dk._twoproc`).
 
 Codebook mode leaks equal-block structure; this artifact makes no security
 claims (see README).
 """
 
+import contextlib
 import io
 import os
 from collections import namedtuple
@@ -217,23 +217,33 @@ def decrypt_block(c93: bytes, ek: ExpandedKey) -> bytes:
     return cube.decode_block((state ^ rk[0]).to_bytes(STATE_BYTES, "big"))
 
 
-def _open_source(source: bytes | io.BufferedIOBase) -> tuple[io.BufferedIOBase, int | None]:
-    """A binary reader over bytes or a readable binary file, and the byte count left in it.
+@contextlib.contextmanager
+def _open_source(source: bytes | io.BufferedIOBase):
+    """A binary reader over bytes or a readable binary file, and the int count of bytes left in it.
 
-    A bytes object is wrapped without a copy.  The count is None for a file
-    that cannot seek (a pipe) or cannot seek to its end (/proc/version).
+    A bytes object is wrapped without a copy.  A file whose tell() or seek to
+    its end raises OSError (a pipe, /proc/version) is copied once into an
+    anonymous temp file, which is read instead and closed with the block.
     """
     if not hasattr(source, "read"):
         source = io.BytesIO(source)
-    if not source.seekable():
-        return source, None
-    start = source.tell()
     try:
+        start = source.tell()
         end = source.seek(0, os.SEEK_END)
-    except OSError:
-        return source, None
-    source.seek(start)
-    return source, max(0, end - start)  # a position past the end reads nothing
+    except OSError:  # io.UnsupportedOperation is one
+        pass
+    else:
+        source.seek(start)
+        yield source, max(0, end - start)  # a position past the end reads nothing
+        return
+    import shutil
+    import tempfile
+
+    with tempfile.TemporaryFile() as spool:
+        shutil.copyfileobj(source, spool)
+        size = spool.tell()
+        spool.seek(0)
+        yield spool, size
 
 
 def _read_up_to(src: io.RawIOBase | io.BufferedIOBase, count: int) -> bytearray:
@@ -312,92 +322,82 @@ def encrypt_stream(
 ) -> bytes | int:
     """Encrypt bytes or a readable binary file into a ciphertext container (codebook mode).
 
-    Without `out`, return the container as bytes.  With a binary writer
-    `out`, write each chunk as soon as it is encrypted and return the number
-    of bytes written.  A file whose size is unknown (a pipe) is read whole
-    first, because the header records the length before any block.  A file
-    that ends before its reported size, or runs on past it (/dev/urandom
-    reports 0 bytes), raises LengthError.
+    Without `out`, return the container as bytes; with a binary writer `out`,
+    write each chunk once encrypted and return the number of bytes written.
+    The header records the length, so a pipe is first spooled to a temp file
+    (see _open_source).  A file that ends before its reported size, or runs
+    on past it (/dev/urandom reports 0 bytes), raises LengthError.
     """
-    src, size = _open_source(plaintext)
-    if size is None:
-        src, size = _open_source(src.read())
-    ek = expand_key_for(master)
-    parts = []
-    write = parts.append if out is None else out.write
-    write(MAGIC + bytes([VERSION, 0]) + (8 * size).to_bytes(8, "little"))
-    _write_in_order(
-        (size + CHUNK_BYTES - 1) // CHUNK_BYTES,
-        lambda i: _read_exact(src, min(CHUNK_BYTES, size - i * CHUNK_BYTES), "input"),
-        lambda i, data: _encrypt_chunk(data, ek),
-        write,
-    )
-    if src.read(1):
-        raise LengthError(f"input runs past the {size} bytes it reported")
-    if out is None:
-        return b"".join(parts)
+    with _open_source(plaintext) as (src, size):
+        ek = expand_key_for(master)
+        parts = []
+        write = parts.append if out is None else out.write
+        write(MAGIC + bytes([VERSION, 0]) + (8 * size).to_bytes(8, "little"))
+        _write_in_order(
+            (size + CHUNK_BYTES - 1) // CHUNK_BYTES,
+            lambda i: _read_exact(src, min(CHUNK_BYTES, size - i * CHUNK_BYTES), "input"),
+            lambda i, data: _encrypt_chunk(data, ek),
+            write,
+        )
+        if src.read(1):
+            raise LengthError(f"input runs past the {size} bytes it reported")
     nblocks = (8 * size + BLOCK_BITS - 1) // BLOCK_BITS
-    return HEADER_BYTES + nblocks * STATE_BYTES
+    return b"".join(parts) if out is None else HEADER_BYTES + nblocks * STATE_BYTES
 
 
 def decrypt_stream(
     container: bytes | io.BufferedIOBase, master: bytes, out: io.BufferedIOBase | None = None
 ) -> bytes | int:
-    """Invert encrypt_stream, truncating to the recorded bit length.
+    """Invert encrypt_stream on bytes or a binary file, truncating to the recorded bit length.
 
-    Takes bytes or a readable binary file.  The header and the payload length
-    are checked before the key is expanded, except that a file that cannot
-    seek (a pipe) is read chunk by chunk, as files are, and raises
-    LengthError where its payload ends early or after the last chunk if it
-    runs on.  A corrupted block raises at that block, with the block index and
-    its container byte range in the message.  A container of two chunks or
-    more has block 0 of its first chunk decrypted once before any chunk is
-    written, so a wrong key fails there before p3dk._twoproc forks.
-    Only the one canonical container of each plaintext is accepted: non-zero
-    pad bits, or non-zero bits past the recorded length in the last block,
-    raise IntegrityError.  Without `out`, return the plaintext as bytes.  With
-    a binary writer `out`, write each chunk as soon as it is decrypted (chunks
+    A pipe is spooled as in encrypt_stream, so for every source the header and
+    the payload length are checked before the key is expanded.  A container of
+    two chunks or more has block 0 decrypted before any chunk is written, so a
+    wrong key fails there, before p3dk._twoproc forks.  A corrupted block
+    raises at that block, naming its index and container byte range.  Only
+    the one canonical container of each plaintext is accepted: non-zero pad
+    bits, or non-zero bits past the recorded length in the last block, raise
+    IntegrityError.  Without `out`, return the plaintext as bytes.  With a
+    binary writer `out`, write each chunk as soon as it is decrypted (chunks
     before a failing block have been written when it raises) and return the
     number of bytes written.
     """
-    src, size = _open_source(container)
-    header = _read_up_to(src, HEADER_BYTES)
-    if len(header) < HEADER_BYTES:
-        raise FormatError("container shorter than its header")
-    if header[:4] != MAGIC:
-        raise FormatError(f"bad magic {bytes(header[:4])!r}")
-    if header[4] != VERSION:
-        raise FormatError(f"unsupported version {header[4]}")
-    if header[5] != 0:
-        raise FormatError(f"unsupported flags 0x{header[5]:02x}")
-    bit_len = int.from_bytes(header[6:14], "little")
-    if bit_len % 8:
-        raise FormatError(f"bit length {bit_len} is not a whole number of bytes")
-    nblocks = (bit_len + BLOCK_BITS - 1) // BLOCK_BITS
-    if size is not None and size - HEADER_BYTES != nblocks * STATE_BYTES:
-        raise LengthError(
-            f"payload is {size - HEADER_BYTES} bytes, header implies {nblocks * STATE_BYTES}"
+    with _open_source(container) as (src, size):
+        header = _read_up_to(src, HEADER_BYTES)
+        if len(header) < HEADER_BYTES:
+            raise FormatError("container shorter than its header")
+        if header[:4] != MAGIC:
+            raise FormatError(f"bad magic {bytes(header[:4])!r}")
+        if header[4] != VERSION:
+            raise FormatError(f"unsupported version {header[4]}")
+        if header[5] != 0:
+            raise FormatError(f"unsupported flags 0x{header[5]:02x}")
+        bit_len = int.from_bytes(header[6:14], "little")
+        if bit_len % 8:
+            raise FormatError(f"bit length {bit_len} is not a whole number of bytes")
+        nblocks = (bit_len + BLOCK_BITS - 1) // BLOCK_BITS
+        if size - HEADER_BYTES != nblocks * STATE_BYTES:
+            raise LengthError(
+                f"payload is {size - HEADER_BYTES} bytes, header implies {nblocks * STATE_BYTES}"
+            )
+        ek = expand_key_for(master)
+        nchunks = (nblocks + CHUNK_BLOCKS - 1) // CHUNK_BLOCKS
+
+        def read(i: int) -> bytearray:
+            count = min(CHUNK_BLOCKS, nblocks - i * CHUNK_BLOCKS) * STATE_BYTES
+            return _read_exact(src, count, "container")
+
+        first = []  # chunk 0, read here to check block 0 before any fork; _write_in_order takes it
+        if nchunks >= 2:
+            first.append(read(0))
+            _decrypt_chunk(first[0][:STATE_BYTES], 0, bit_len, ek)
+        parts = []
+        _write_in_order(
+            nchunks,
+            lambda i: first.pop() if first else read(i),
+            lambda i, payload: _decrypt_chunk(payload, i * CHUNK_BLOCKS, bit_len, ek),
+            parts.append if out is None else out.write,
         )
-    ek = expand_key_for(master)
-    nchunks = (nblocks + CHUNK_BLOCKS - 1) // CHUNK_BLOCKS
-
-    def read(i: int) -> bytearray:
-        count = min(CHUNK_BLOCKS, nblocks - i * CHUNK_BLOCKS) * STATE_BYTES
-        return _read_exact(src, count, "container")
-
-    first = []  # chunk 0, read here to check block 0 before any fork; _write_in_order takes it
-    if nchunks >= 2:
-        first.append(read(0))
-        _decrypt_chunk(first[0][:STATE_BYTES], 0, bit_len, ek)
-    parts = []
-    _write_in_order(
-        nchunks,
-        lambda i: first.pop() if first else read(i),
-        lambda i, payload: _decrypt_chunk(payload, i * CHUNK_BLOCKS, bit_len, ek),
-        parts.append if out is None else out.write,
-    )
-    if size is None and src.read(1):
-        raise LengthError(f"payload runs past the {nblocks * STATE_BYTES} bytes the header implies")
     return b"".join(parts) if out is None else bit_len // 8
 
 

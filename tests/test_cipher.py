@@ -46,6 +46,13 @@ from p3dk.errors import (
 )
 
 
+# A pipe is spooled to a temp file that every path must close: a file left to
+# the collector fails the test that left it.
+pytestmark = pytest.mark.filterwarnings(
+    "error::ResourceWarning", "error::pytest.PytestUnraisableExceptionWarning"
+)
+
+
 def test_pad_block_all_zero_bits():
     assert pad_block(0, 243) == bytes(31)
 
@@ -709,7 +716,7 @@ class _Expecting:
 
 
 def test_pipe_decrypt_memory_does_not_grow(monkeypatch):
-    """A 2 MB container from a pipe is decrypted chunk by chunk, allocating far less than its size.
+    """A 2 MB container from a pipe is spooled and decrypted chunk by chunk, allocating far less than its size.
 
     The block layers are cheap stand-ins (a 93-byte block that carries the
     31 plaintext bytes) so the run takes seconds; reading, unpacking and
@@ -748,23 +755,39 @@ def test_raw_pipe_with_short_reads_round_trips():
 
 
 @pytest.mark.parametrize("keep", (cipher.HEADER_BYTES + 1, 30_000, -1))
-def test_truncated_pipe_is_a_length_error(keep):
-    """A pipe that ends early, in chunk 0, 1 or 2, raises LengthError at the chunk it ends in."""
+def test_truncated_pipe_is_a_length_error(keep, monkeypatch):
+    """A pipe that ends early, in chunk 0, 1 or 2, raises a file's LengthError before the key is expanded."""
     key, data, box = _three_chunks()
-    with pytest.raises(LengthError, match="^container ended [0-9]+ bytes early$"):
+    payload, cut = len(box) - cipher.HEADER_BYTES, len(box[:keep]) - cipher.HEADER_BYTES
+    monkeypatch.setattr(cipher, "expand_key_for", lambda master: pytest.fail("key expanded"))
+    with pytest.raises(LengthError, match=f"^payload is {cut} bytes, header implies {payload}$"):
         decrypt_stream(_pipe(box[:keep]), key)
 
 
 def test_pipe_with_a_trailing_byte_is_a_length_error():
-    """A byte past the payload raises LengthError after the last chunk is written."""
+    """A byte past the payload raises a file's LengthError before any chunk is written."""
     key, data, box = _three_chunks()
     payload = len(box) - cipher.HEADER_BYTES
     out = io.BytesIO()
-    with pytest.raises(LengthError, match=f"^payload runs past the {payload} bytes the header implies$"):
+    with pytest.raises(LengthError, match=f"^payload is {payload + 1} bytes, header implies {payload}$"):
         decrypt_stream(_pipe(box + b"\x00"), key, out)
-    assert out.getvalue() == data
-    with pytest.raises(LengthError, match="^payload runs past the 0 bytes the header implies$"):
+    assert out.getvalue() == b""
+    with pytest.raises(LengthError, match="^payload is 1 bytes, header implies 0$"):
         decrypt_stream(_pipe(encrypt_stream(b"", key) + b"\x00"), key)
+
+
+@pytest.mark.parametrize("may_fork", (True, False), ids=("fork", "one-process"))
+def test_a_piped_container_equals_the_one_from_bytes(may_fork, monkeypatch):
+    """Spooled input gives the container bytes give, on both paths, and a piped round trip gives it back."""
+    monkeypatch.setattr(_twoproc, "_may_fork", lambda: may_fork)
+    key = bytes([0x2A] * 31)
+    data = random.Random(8).randbytes(3 * cipher.CHUNK_BYTES)
+    for n in (0, 1, cipher.CHUNK_BYTES - 1, cipher.CHUNK_BYTES, cipher.CHUNK_BYTES + 1, len(data)):
+        box, out = encrypt_stream(data[:n], key), io.BytesIO()
+        assert encrypt_stream(_pipe(data[:n]), key) == box, n
+        assert encrypt_stream(_pipe(data[:n]), key, out) == len(box)
+        assert out.getvalue() == box, n
+    assert decrypt_stream(_pipe(box), key) == data
 
 
 class _NoSeekToEnd(io.BytesIO):

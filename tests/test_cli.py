@@ -19,6 +19,12 @@ from p3dk.cipher import CHUNK_BLOCKS, CHUNK_BYTES, HEADER_BYTES, STATE_BYTES, en
 from p3dk.cli import run
 from p3dk.errors import IntegrityError, RangeError
 
+# A pipe is spooled to a temp file that every path must close: a file left to
+# the collector fails the test that left it.
+pytestmark = pytest.mark.filterwarnings(
+    "error::ResourceWarning", "error::pytest.PytestUnraisableExceptionWarning"
+)
+
 KEY = bytes(range(0, 60, 2)) + b"\x40"
 
 
@@ -305,7 +311,7 @@ def test_import_loads_no_unused_modules():
     """
     heavy = [
         "typing", "dataclasses", "inspect", "secrets", "hmac", "hashlib", "statistics",
-        "random", "p3dk.bench", "p3dk._twoproc",
+        "random", "tempfile", "shutil", "p3dk.bench", "p3dk._twoproc",
     ]
     src = Path(__file__).resolve().parents[1] / "src"
     code = (
@@ -502,6 +508,49 @@ def test_cli_reads_a_pipe(tmp_path):
     assert boxed.read_bytes() == encrypt_stream(data, KEY)
 
 
+def test_piped_encryption_memory_does_not_grow(tmp_path, monkeypatch):
+    """2 MB from a FIFO is spooled and encrypted by the library and by the CLI, allocating far less than its size.
+
+    The block layer is a cheap stand-in (a 93-byte block that carries the 31
+    plaintext bytes) so the run takes seconds; reading, spooling, packing and
+    writing are the real code.
+    """
+    monkeypatch.setattr(cipher, "encrypt_block", lambda p31, ek: p31 * 3)
+    key_path, fifo, boxed = tmp_path / "key", tmp_path / "fifo", tmp_path / "box"
+    key_path.write_bytes(KEY)
+    os.mkfifo(fifo)
+
+    def library():
+        with open(fifo, "rb") as src, open(boxed, "wb") as out:
+            encrypt_stream(src, KEY, out)
+
+    def cli():
+        assert crypt("encrypt", key_path, fifo, boxed) == 0
+
+    def peak_while_piping(data, encrypt) -> int:
+        """The tracemalloc peak of encrypt() while a thread writes data into the FIFO."""
+        writer = threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True)
+        writer.start()
+        tracemalloc.start()
+        try:
+            encrypt()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert boxed.read_bytes() == encrypt_stream(data, KEY)
+        return peak
+
+    data = random.Random(10).randbytes(2 * 1024 * 1024)
+    # Builds the key's S-box and fills lazy caches; two chunks also import
+    # p3dk._twoproc, and the spool tempfile and shutil.
+    for encrypt in (library, cli):
+        peak_while_piping(data[: CHUNK_BYTES + 1], encrypt)
+    peaks = [peak_while_piping(data, encrypt) for encrypt in (library, cli)]
+    assert max(peaks) < 256 * 1024, f"peaks {peaks} bytes (library, CLI)"
+
+
 @pytest.mark.parametrize("how", ("whole", "truncated", "trailing"))
 def test_cli_decrypts_from_a_pipe(tmp_path, capsys, how):
     """A 3-chunk container from a FIFO decrypts; cut short or with a byte past its payload, it exits 3 and leaves no file."""
@@ -524,8 +573,8 @@ def test_cli_decrypts_from_a_pipe(tmp_path, capsys, how):
         return
     assert code == 3
     assert err == {
-        "truncated": "format error: container ended 17630 bytes early\n",
-        "trailing": f"format error: payload runs past the {len(box) - HEADER_BYTES - 1} bytes the header implies\n",
+        "truncated": "format error: payload is 29986 bytes, header implies 47988\n",
+        "trailing": "format error: payload is 47989 bytes, header implies 47988\n",
     }[how]
     assert sorted(p.name for p in tmp_path.iterdir()) == ["fifo", "key"]
 
@@ -537,7 +586,7 @@ def _existing(path: str) -> str:
 
 
 def test_a_file_that_cannot_seek_to_its_end_round_trips(tmp_path):
-    """/proc/version says it can seek but refuses a seek to its end, so it is read whole."""
+    """/proc/version says it can seek but refuses a seek to its end, so it is spooled as a pipe is."""
     path = _existing("/proc/version")
     key_path, boxed, opened = tmp_path / "key", tmp_path / "box", tmp_path / "back"
     key_path.write_bytes(KEY)
