@@ -3,17 +3,18 @@
 `p3dk.cipher._write_in_order` imports this module only for such a stream, so
 `import p3dk` and one-chunk calls never load it.  `run` forks one child,
 which keeps the key schedule it inherited, so nothing is pickled.  The
-calling process reads the chunks in order and always computes chunk 0
-itself.  It keeps up to QUEUE chunks queued at the child, computes a chunk
-itself only when that queue is full, and collects the child's replies
-without waiting for them.  It writes every chunk in stream order from a
-reorder buffer: at most AHEAD chunks have been read and not yet written, the
-ones at the child included.  Which process computes a chunk thus varies with
-load, but the output does not, nor do the errors: an error from this
-process's own work, from a chunk the child failed on (sent back and computed
-again here) or from a read is raised only at its chunk's turn to be written,
-as on one process.  Both processes read their pipe through
-`p3dk.cipher._read_up_to`, the package's one short-read loop.
+calling process reads the chunks in order and writes every chunk in stream
+order from a reorder buffer: at most AHEAD chunks have been read and not yet
+written, the ones at the child included.  It keeps up to QUEUE chunks queued
+at the child, but never the last it may read (the stream's last, or the
+last AHEAD allows), computes a chunk itself only when the child can take no
+more, and collects the child's replies without waiting for them.  Which
+process computes a chunk thus varies with load, but the output does not,
+nor do the errors: an error from this process's own work, from a chunk the
+child failed on (sent back and computed again here) or from a read is raised
+only at its chunk's turn to be written, as on one process.  Both processes
+read their pipe through `p3dk.cipher._read_up_to`, the package's one
+short-read loop.
 """
 
 import os
@@ -23,7 +24,7 @@ from .cipher import _read_up_to
 
 QUEUE = 2  # chunks sent to the child and not yet answered
 # Chunks read and not yet written, the ones at the child included.  Five let
-# this process take three chunks for every two of a slow child, and hold at
+# this process take four chunks for every two of a slow child, and hold at
 # most five chunks of output, under 120 KB.
 AHEAD = 5
 
@@ -138,8 +139,8 @@ def _dispatch(nchunks: int, read, work, write, jobs: int, results) -> None:
     nread = nwritten = 0
     end = nchunks  # one past the last chunk to read: a failed read ends the stream there
 
-    def can_read() -> bool:
-        return nread < end and nread - nwritten < AHEAD
+    def can_read(spare: int = 0) -> bool:  # with `spare` chunks of the stream and of AHEAD left over
+        return nread < end - spare and nread - nwritten < AHEAD - spare
 
     def take():
         """The next chunk's (index, input), or None if reading it failed."""
@@ -171,7 +172,6 @@ def _dispatch(nchunks: int, read, work, write, jobs: int, results) -> None:
                 compute(i, out)
             timeout = 0
 
-    held = take()  # chunk 0 is always computed here, once the child has work
     while nwritten < nchunks:
         collect(0)
         while nwritten in ready:  # popped into write, so no name holds a written chunk
@@ -179,16 +179,14 @@ def _dispatch(nchunks: int, read, work, write, jobs: int, results) -> None:
                 raise ready.pop(nwritten)
             write(ready.pop(nwritten))
             nwritten += 1
-        while len(sent) < QUEUE and can_read():
+        while len(sent) < QUEUE and can_read(1):  # the last chunk that can be read is this process's
             job = take()
             if job:
                 _send(jobs, job[0].to_bytes(8, "big"), job[1])
                 sent.append(job[0])
         job = None  # nor the input of a chunk the child has
-        if held is None and can_read():  # the child's queue is full
-            held = take()
-        if held is not None:
-            compute(*held)
-            held = None
+        if can_read() and (job := take()):  # the child can take no more
+            compute(*job)
+            job = None
         else:
             collect(None)

@@ -222,8 +222,8 @@ def _open_source(source: bytes | io.BufferedIOBase):
     """A binary reader over bytes or a readable binary file, and the int count of bytes left in it.
 
     A bytes object is wrapped without a copy.  A file whose tell() or seek to
-    its end raises OSError (a pipe, /proc/version) is copied once into an
-    anonymous temp file, which is read instead and closed with the block.
+    its end raises OSError (a pipe, /proc/version) is copied a chunk at a time
+    into an anonymous temp file, read instead and closed with the block.
     """
     if not hasattr(source, "read"):
         source = io.BytesIO(source)
@@ -236,11 +236,11 @@ def _open_source(source: bytes | io.BufferedIOBase):
         source.seek(start)
         yield source, max(0, end - start)  # a position past the end reads nothing
         return
-    import shutil
     import tempfile
 
     with tempfile.TemporaryFile() as spool:
-        shutil.copyfileobj(source, spool)
+        while spool.write(_read_up_to(source, CHUNK_BYTES)):  # one chunk held at a time
+            pass
         size = spool.tell()
         spool.seek(0)
         yield spool, size
@@ -352,15 +352,15 @@ def decrypt_stream(
 
     A pipe is spooled as in encrypt_stream, so for every source the header and
     the payload length are checked before the key is expanded.  A container of
-    two chunks or more has block 0 decrypted before any chunk is written, so a
-    wrong key fails there, before p3dk._twoproc forks.  A corrupted block
-    raises at that block, naming its index and container byte range.  Only
-    the one canonical container of each plaintext is accepted: non-zero pad
-    bits, or non-zero bits past the recorded length in the last block, raise
-    IntegrityError.  Without `out`, return the plaintext as bytes.  With a
-    binary writer `out`, write each chunk as soon as it is decrypted (chunks
-    before a failing block have been written when it raises) and return the
-    number of bytes written.
+    two chunks or more has block 0 read, decrypted and rewound before any
+    chunk is written, so a wrong key fails there, before p3dk._twoproc forks.
+    A corrupted block raises at that block, naming its index and container
+    byte range.  Only the one canonical container of each plaintext is
+    accepted: non-zero pad bits, or non-zero bits past the recorded length in
+    the last block, raise IntegrityError.  Without `out`, return the
+    plaintext as bytes.  With a binary writer `out`, write each chunk as soon
+    as it is decrypted (chunks before a failing block have been written when
+    it raises) and return the number of bytes written.
     """
     with _open_source(container) as (src, size):
         header = _read_up_to(src, HEADER_BYTES)
@@ -387,14 +387,14 @@ def decrypt_stream(
             count = min(CHUNK_BLOCKS, nblocks - i * CHUNK_BLOCKS) * STATE_BYTES
             return _read_exact(src, count, "container")
 
-        first = []  # chunk 0, read here to check block 0 before any fork; _write_in_order takes it
-        if nchunks >= 2:
-            first.append(read(0))
-            _decrypt_chunk(first[0][:STATE_BYTES], 0, bit_len, ek)
+        if nchunks >= 2:  # block 0 first, so a wrong key fails before any fork
+            at = src.tell()
+            _decrypt_chunk(_read_exact(src, STATE_BYTES, "container"), 0, bit_len, ek)
+            src.seek(at)
         parts = []
         _write_in_order(
             nchunks,
-            lambda i: first.pop() if first else read(i),
+            read,
             lambda i, payload: _decrypt_chunk(payload, i * CHUNK_BLOCKS, bit_len, ek),
             parts.append if out is None else out.write,
         )

@@ -332,9 +332,17 @@ def _flip(box: bytes, *blocks: int) -> bytes:
 
 
 def _decrypt_error(box: bytes, key: bytes, out=None) -> P3DKError:
-    with pytest.raises(P3DKError) as info:
+    """The error decrypt_stream raises, cut from its traceback and context.
+
+    Their frames would keep a spool leaked on the error path alive past the
+    test body, out of reach of the module's ResourceWarning mark.
+    """
+    try:
         decrypt_stream(box, key, out)
-    return info.value
+    except P3DKError as error:
+        error.__traceback__ = error.__context__ = None
+        return error
+    pytest.fail("decrypt_stream raised no P3DKError")
 
 
 def test_chunk_errors_are_raised_in_stream_order(monkeypatch):
@@ -368,6 +376,33 @@ def test_a_wrong_key_fails_at_block_0_before_any_fork(tmp_path, monkeypatch):
     with open(path, "rb") as src:
         for source in (box, src, _PipeEnd(box, most=1000)):
             error = _decrypt_error(source, wrong)
+            assert (type(error), str(error)) == (type(serial), str(serial))
+
+
+@pytest.mark.parametrize("may_fork", (True, False), ids=("fork", "one-process"))
+def test_a_multi_chunk_container_past_the_start_of_its_source(may_fork, tmp_path, monkeypatch):
+    """Three chunks after junk bytes, in bytes or a file, decrypt and fail as from position 0; the wrong key unforked."""
+    monkeypatch.setattr(_twoproc, "_may_fork", lambda: may_fork)
+    key, data, box = _three_chunks()
+    wrong = bytes([0x15] * 31)
+    junk = b"junk\x00" * 7
+    path = tmp_path / "box.p3dk"
+    path.write_bytes(junk + box)
+    serial = _decrypt_error(box, wrong)
+    assert str(serial).startswith("block 0 (container bytes 14-106): ")
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    with open(path, "rb") as file:
+        for src in (io.BytesIO(junk + box), file):
+            src.seek(len(junk))
+            assert decrypt_stream(src, key) == data
+    assert len(forks) == (2 if may_fork else 0)
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked before block 0 was checked"))
+    with open(path, "rb") as file:
+        for src in (io.BytesIO(junk + box), file):
+            src.seek(len(junk))
+            error = _decrypt_error(src, wrong)
             assert (type(error), str(error)) == (type(serial), str(serial))
 
 
@@ -422,14 +457,22 @@ _needs_fork = pytest.mark.skipif(
 @_needs_fork
 @pytest.mark.parametrize("child_delay", (0.0, 0.05))
 def test_dispatch_contract(child_delay):
-    """Reads and writes go in chunk order, at most AHEAD apart; chunk 0 and a slow child's excess stay here."""
+    """Reads and writes go in chunk order, at most AHEAD apart; a slow child's excess stays here."""
     reads, written, ahead, mine = _run_stand_ins(12, child_delay)
     assert reads == list(range(12))
     assert written == [b"out %d" % i for i in range(12)]
     assert ahead <= _twoproc.AHEAD
-    assert mine[0] == 0 and mine == sorted(mine)
+    assert mine == sorted(mine)
     if child_delay:
         assert ahead == _twoproc.AHEAD and len(mine) > 6
+
+
+@_needs_fork
+@pytest.mark.parametrize("nchunks", (2, 12))
+def test_dispatch_keeps_the_last_chunk_here(nchunks):
+    """The child never takes the stream's last chunk, so a stream of two chunks runs on both processes."""
+    _, written, _, mine = _run_stand_ins(nchunks, 0.0)
+    assert len(written) == nchunks and mine[-1] == nchunks - 1
 
 
 def test_queued_messages_fit_the_pipes():
@@ -739,6 +782,35 @@ def test_pipe_decrypt_memory_does_not_grow(monkeypatch):
         tracemalloc.stop()
     assert sink.at == len(data)
     assert peak < 256 * 1024, f"peak {peak} bytes"
+
+
+def test_spooling_a_pipe_holds_one_chunk_in_memory():
+    """A 2 MB pipe is copied to its spool a chunk at a time, allocating under 64 KB at its peak."""
+    data = random.Random(9).randbytes(2 << 20)
+    with cipher._open_source(_PipeEnd(b"warm")):  # imports tempfile
+        pass
+    r, w = os.pipe()
+
+    def feed():
+        with open(w, "wb", buffering=0) as end:
+            view = memoryview(data)
+            while view:
+                view = view[end.write(view) :]
+
+    feeder = threading.Thread(target=feed)
+    feeder.start()
+    with open(r, "rb") as pipe:
+        tracemalloc.start()
+        try:
+            with cipher._open_source(pipe) as (spool, size):
+                _, peak = tracemalloc.get_traced_memory()
+                copied = spool.read()
+        finally:
+            tracemalloc.stop()
+    feeder.join(timeout=10)
+    assert not feeder.is_alive()
+    assert (size, copied) == (len(data), data)
+    assert peak < 64 * 1024, f"peak {peak} bytes"
 
 
 def _three_chunks():
