@@ -2,22 +2,21 @@
 
 Three timing experiments (encryption time vs file size, table-rotation time
 vs rotation count, per-message setup time vs input bit length) plus an
-avalanche statistic over a given number of bit flips.  All timings use the
-monotonic clock and time the library as it runs: a multi-chunk
-`encrypt_stream` in `bench_filesize` runs on two processes where
-p3dk._twoproc forks a child.  They discard warmup passes and report the
-median over trials; medians resist scheduler noise better than means.
-Absolute values are hardware-bound, so tests assert shapes (monotonicity,
-linear fit), never milliseconds.  Reference timings from older hardware
-travel as `ref_*` metadata comments in the CSV, clearly separated from
-measured rows.
+avalanche statistic over a given number of bit flips.  `timeit` times every
+sweep on the monotonic `perf_counter` clock, and times the library as it
+runs: a multi-chunk `encrypt_stream` in `bench_filesize` runs on two
+processes where p3dk._twoproc forks a child.  The sweeps discard warmup
+passes and report the median over trials; medians resist scheduler noise
+better than means.  Absolute values are hardware-bound, so tests assert
+shapes (monotonicity, linear fit), never milliseconds.  Reference timings
+from older hardware travel as `ref_*` metadata comments in the CSV, clearly
+separated from measured rows.
 """
 
-import contextlib
-import gc
 import random
 import statistics
 import time
+import timeit
 from collections import namedtuple
 
 from . import cube
@@ -65,30 +64,6 @@ SBOXGEN_KEPT = 6
 BenchReport = namedtuple("BenchReport", "experiment unit rows metadata")
 
 
-def _now_utc() -> str:
-    return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-
-
-@contextlib.contextmanager
-def _gc_paused():
-    """Keep the cycle collector out of timed sections."""
-    enabled = gc.isenabled()
-    gc.collect()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
-
-
-def _timed_sample(fn, inner: int) -> float:
-    t0 = time.perf_counter()
-    for _ in range(inner):
-        fn()
-    return (time.perf_counter() - t0) / inner
-
-
 def _side_by_side_medians(fns, trials: int, batch: int, passes: int, kept: int):
     """Median seconds per call of each of fns, all timed side by side.
 
@@ -98,28 +73,31 @@ def _side_by_side_medians(fns, trials: int, batch: int, passes: int, kept: int):
     so the slowest passes are dropped as spikes.  Because every pass visits
     every fn, a machine that speeds up or slows down mid-trial shifts all of
     them alike, where timing one fn after another would move only the fns
-    timed before the change.
+    timed before the change.  Each sample is one `timeit.Timer.timeit` call,
+    so the cycle collector is off inside every timed sample, warm-up
+    included, and back in its prior state after it; it may run, untimed,
+    between samples.
     """
     if trials < 1:
         raise UsageError(f"--trials must be >= 1, got {trials}")
+    timers = [timeit.Timer(fn) for fn in fns]
+    for timer in timers:
+        timer.timeit(WARMUP)
     samples = [[] for _ in fns]
-    with _gc_paused():
-        for _ in range(WARMUP):
-            for fn in fns:
-                fn()
-        for _ in range(trials):
-            times = [[] for _ in fns]
-            for p in range(passes):
-                for i in range(len(fns)) if p % 2 == 0 else reversed(range(len(fns))):
-                    times[i].append(_timed_sample(fns[i], batch))
-            for sample, t in zip(samples, times):
-                sample.append(statistics.fmean(sorted(t)[:kept]))
+    for _ in range(trials):
+        times = [[] for _ in fns]
+        for p in range(passes):
+            for i in range(len(fns)) if p % 2 == 0 else reversed(range(len(fns))):
+                times[i].append(timers[i].timeit(batch) / batch)
+        for sample, t in zip(samples, times):
+            sample.append(statistics.fmean(sorted(t)[:kept]))
     return [statistics.median(sample) for sample in samples]
 
 
 def _report(experiment: str, unit: str, rows, trials: int, **extra) -> BenchReport:
     """A report whose metadata is timestamp, trials and warmup, then extra."""
-    metadata = {"timestamp": _now_utc(), "trials": str(trials), "warmup": str(WARMUP)}
+    timestamp = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
+    metadata = {"timestamp": timestamp, "trials": str(trials), "warmup": str(WARMUP)}
     metadata.update((key, str(value)) for key, value in extra.items())
     return BenchReport(experiment, unit, rows, metadata)
 

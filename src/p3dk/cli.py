@@ -17,6 +17,7 @@ import os
 import sys
 
 from .cipher import (
+    KEY_BYTES,
     decrypt_stream,
     encrypt_stream,
     generate_master_key,
@@ -109,8 +110,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_key(path: str) -> bytes:
+    """The checked master key in path, read no further than one byte past KEY_BYTES."""
     with open(path, "rb") as fh:
-        return validate_master_key(fh.read())
+        kb = fh.read(KEY_BYTES + 1)
+    if len(kb) > KEY_BYTES:
+        raise KeyFormatError(f"master key must be {KEY_BYTES} bytes, got more")
+    return validate_master_key(kb)
 
 
 def _parse_int_list(text: str | None, default) -> list[int]:

@@ -1,3 +1,4 @@
+import gc
 import tracemalloc
 
 import pytest
@@ -5,6 +6,8 @@ import pytest
 from p3dk.bench import (
     ROTATION_KEPT,
     ROTATION_PASSES,
+    WARMUP,
+    _side_by_side_medians,
     avalanche,
     bench_filesize,
     bench_rotations,
@@ -84,6 +87,25 @@ def test_sboxgen_rows_and_validation():
 def test_experiments_reject_zero_trials(measure):
     with pytest.raises(UsageError, match=r"--trials must be >= 1, got 0"):
         measure()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_the_collector_is_off_in_every_timed_call(enabled):
+    """Every call of a timed fn, warm-up included, sees the cycle collector off.
+
+    The collector's prior state, on or off, is back after the sweep.
+    """
+    seen = []
+    fns = [lambda: seen.append(gc.isenabled())] * 2
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        _side_by_side_medians(fns, trials=2, batch=3, passes=2, kept=1)
+        after = gc.isenabled()
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == [False] * len(fns) * (WARMUP + 2 * 2 * 3)
+    assert after is enabled
 
 
 def test_avalanche_statistics():

@@ -119,6 +119,29 @@ def test_short_key_file_is_key_error(tmp_path, capsys):
     assert "key error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("verb", ["encrypt", "decrypt"])
+def test_an_endless_key_file_is_key_error(tmp_path, verb):
+    """A key file that never ends is refused after KEY_BYTES + 1 bytes, with no output.
+
+    The child caps its own address space and runs under a timeout, so a read
+    without bound fails this test instead of exhausting the machine's memory.
+    """
+    plain = tmp_path / "p.bin"
+    plain.write_bytes(b"x")
+    argv = [verb, "--key", "/dev/zero", "--in", str(plain), "--out", str(tmp_path / "o")]
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20)); "
+        f"sys.path.insert(0, {str(src)!r}); from p3dk.cli import run; sys.exit(run({argv!r}))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stderr == "key error: master key must be 31 bytes, got more\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["p.bin"]
+
+
 def test_corrupted_magic_is_format_error(tmp_path, capsys):
     key_path = write_key(tmp_path)
     plain = tmp_path / "p.bin"
@@ -311,7 +334,7 @@ def test_import_loads_no_unused_modules():
     """
     heavy = [
         "typing", "dataclasses", "inspect", "secrets", "hmac", "hashlib", "statistics",
-        "random", "tempfile", "shutil", "p3dk.bench", "p3dk._twoproc",
+        "random", "tempfile", "shutil", "timeit", "p3dk.bench", "p3dk._twoproc",
     ]
     src = Path(__file__).resolve().parents[1] / "src"
     code = (
