@@ -5,11 +5,12 @@
 which keeps the key schedule it inherited, so nothing is pickled.  The
 calling process reads the chunks in order and writes every chunk in stream
 order from a reorder buffer: at most AHEAD chunks have been read and not yet
-written, the ones at the child included.  It keeps up to QUEUE chunks queued
-at the child, but never the last it may read (the stream's last, or the
-last AHEAD allows), computes a chunk itself only when the child can take no
-more, and collects the child's replies without waiting for them.  Which
-process computes a chunk thus varies with load, but the output does not,
+written, the ones at the child included.  It sends chunk i to the child when
+the child has fewer than QUEUE jobs unanswered and i is neither the stream's
+last chunk nor the last AHEAD allows, and computes every other chunk itself.
+After each chunk it collects the child's replies without waiting for them;
+it waits only when AHEAD chunks are out and the oldest is at the child.
+Which process computes a chunk thus varies with load, but the output does not,
 nor do the errors: an error from this process's own work, from a chunk the
 child failed on (sent back and computed again here) or from a read is raised
 only at its chunk's turn to be written, as on one process.  Both processes
@@ -136,21 +137,7 @@ def _dispatch(nchunks: int, read, work, write, jobs: int, results) -> None:
     """The parent's side of run: read, hand out, compute and write in stream order."""
     ready = {}  # the reorder buffer: chunk index -> its output, or the error to raise at its turn
     sent = []  # the index of each chunk at the child, oldest first
-    nread = nwritten = 0
-    end = nchunks  # one past the last chunk to read: a failed read ends the stream there
-
-    def can_read(spare: int = 0) -> bool:  # with `spare` chunks of the stream and of AHEAD left over
-        return nread < end - spare and nread - nwritten < AHEAD - spare
-
-    def take():
-        """The next chunk's (index, input), or None if reading it failed."""
-        nonlocal nread, end
-        i, nread = nread, nread + 1
-        try:
-            return i, read(i)
-        except Exception as exc:
-            ready[i], end = exc, nread
-            return None
+    nwritten = 0
 
     def compute(i: int, data: bytes) -> None:
         try:
@@ -162,7 +149,11 @@ def _dispatch(nchunks: int, read, work, write, jobs: int, results) -> None:
     replies.register(results, select.POLLIN)
 
     def collect(timeout) -> None:
-        """Take every finished reply, waiting up to `timeout` ms (None: no limit) for the first."""
+        """Take every finished reply, waiting up to `timeout` ms (None: no limit) for the first.
+
+        Then write every chunk whose turn has come, or raise its error.
+        """
+        nonlocal nwritten
         while sent and replies.poll(timeout):
             status, out = _receive(results, 1)
             i = sent.pop(0)
@@ -171,22 +162,26 @@ def _dispatch(nchunks: int, read, work, write, jobs: int, results) -> None:
             else:  # `out` is the input the child failed on
                 compute(i, out)
             timeout = 0
-
-    while nwritten < nchunks:
-        collect(0)
         while nwritten in ready:  # popped into write, so no name holds a written chunk
             if isinstance(ready[nwritten], Exception):
                 raise ready.pop(nwritten)
             write(ready.pop(nwritten))
             nwritten += 1
-        while len(sent) < QUEUE and can_read(1):  # the last chunk that can be read is this process's
-            job = take()
-            if job:
-                _send(jobs, job[0].to_bytes(8, "big"), job[1])
-                sent.append(job[0])
-        job = None  # nor the input of a chunk the child has
-        if can_read() and (job := take()):  # the child can take no more
-            compute(*job)
-            job = None
-        else:
+
+    for i in range(nchunks):
+        while i - nwritten >= AHEAD:  # the child holds chunk nwritten
             collect(None)
+        try:
+            data = read(i)
+        except Exception as exc:  # raised at its turn, after the chunks before it
+            ready[i] = exc
+            break
+        if len(sent) < QUEUE and i < nchunks - 1 and i - nwritten < AHEAD - 1:
+            _send(jobs, i.to_bytes(8, "big"), data)
+            sent.append(i)
+        else:
+            compute(i, data)
+        del data  # so no name holds the input of a chunk the child has
+        collect(0)
+    while nwritten < nchunks:
+        collect(None)

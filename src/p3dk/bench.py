@@ -172,18 +172,17 @@ def _setup_message(length_bits: int, payload: int) -> None:
 def bench_sboxgen(bit_lengths=DEFAULT_BIT_LENGTHS, trials: int = DEFAULT_TRIALS) -> BenchReport:
     """Median per-message setup time for each input bit length.
 
-    Lengths are powers of three up to 243.  The sixteen substitution tables
-    are shared process-wide, so after the prewarm pass this measures the
-    marginal per-message work, which grows with the input length.  All
-    lengths are timed side by side, SBOXGEN_BATCH calls each per pass.
+    Lengths are powers of three up to 243.  Each length's warm-up call in
+    _side_by_side_medians builds the substitution table its message uses, so
+    the timed samples measure the marginal per-message work, which grows with
+    the input length.  All lengths are timed side by side, SBOXGEN_BATCH
+    calls each per pass.
     """
     lengths = sorted(bit_lengths)
     if not lengths:
         raise UsageError("bit length list must not be empty")
     if any(n not in DEFAULT_BIT_LENGTHS for n in lengths):
         raise UsageError(f"bit lengths must be from {DEFAULT_BIT_LENGTHS}")
-    for r in range(ROTATIONS):
-        build_sbox(r)
     gen = random.Random(CONTENT_SEED)
     payloads = [gen.getrandbits(n) for n in lengths]
     medians = _side_by_side_medians(

@@ -475,6 +475,51 @@ def test_dispatch_keeps_the_last_chunk_here(nchunks):
     assert len(written) == nchunks and mine[-1] == nchunks - 1
 
 
+@_needs_fork
+@pytest.mark.parametrize("child_delay", (0.0, 0.05), ids=("fast", "slow"))
+def test_dispatch_hands_out_by_the_rule(child_delay, monkeypatch):
+    """The child gets a chunk only while it has fewer than QUEUE jobs, and never the last or the last AHEAD allows.
+
+    Every other chunk is computed here.  Each is recorded as (chunk, chunks
+    written, jobs unanswered) when it is handed out, so no check depends on
+    how fast either process is.  Streams of 2 and 12 chunks are run.
+    """
+    parent, unanswered = os.getpid(), [0]
+    send, receive = _twoproc._send, _twoproc._receive
+
+    def counting_send(fd, head, data):
+        if os.getpid() == parent:
+            jobs.append((int.from_bytes(head, "big"), len(written), unanswered[0]))
+            unanswered[0] += 1
+        send(fd, head, data)
+
+    def counting_receive(src, head_bytes):
+        reply = receive(src, head_bytes)
+        if os.getpid() == parent:
+            unanswered[0] -= 1
+        return reply
+
+    def work(i, data):
+        if os.getpid() == parent:
+            mine.append((i, len(written), unanswered[0]))
+        else:
+            time.sleep(child_delay)
+        return data
+
+    monkeypatch.setattr(_twoproc, "_send", counting_send)
+    monkeypatch.setattr(_twoproc, "_receive", counting_receive)
+    for nchunks in (2, 12):
+        written, jobs, mine = [], [], []
+        assert _twoproc.run(nchunks, lambda i: b"%d" % i, work, written.append)
+        assert written == [b"%d" % i for i in range(nchunks)]
+        assert sorted(i for i, _, _ in jobs + mine) == list(range(nchunks)) and unanswered == [0]
+        assert jobs and mine
+        for i, nwritten, queued in jobs:
+            assert queued < _twoproc.QUEUE and i < nchunks - 1 and i - nwritten < _twoproc.AHEAD - 1
+        for i, nwritten, queued in mine:
+            assert queued == _twoproc.QUEUE or i == nchunks - 1 or i - nwritten == _twoproc.AHEAD - 1
+
+
 def test_queued_messages_fit_the_pipes():
     """QUEUE jobs, and QUEUE replies, of the largest chunk fit _PIPE_BYTES, so no _send waits.
 
