@@ -14,14 +14,14 @@ Which process computes a chunk thus varies with load, but the output does not,
 nor do the errors: an error from this process's own work, from a chunk the
 child failed on (sent back and computed again here) or from a read is raised
 only at its chunk's turn to be written, as on one process.  Both processes
-read their pipe through `p3dk.cipher._read_up_to`, the package's one
-short-read loop.
+read and write their pipes as unbuffered files, through `p3dk.cipher`'s one
+short-read loop, `_read_up_to`, and its one short-write loop, `_write_all`.
 """
 
 import os
 import select
 
-from .cipher import _read_up_to
+from .cipher import _read_up_to, _write_all
 
 QUEUE = 2  # chunks sent to the child and not yet answered
 # Chunks read and not yet written, the ones at the child included.  Five let
@@ -50,13 +50,11 @@ def _may_fork() -> bool:
         return False
 
 
-def _send(fd: int, head: bytes, data: bytes) -> None:
-    """Write `head`, the length of `data` and `data` to a pipe; BrokenPipeError if its reader has gone."""
+def _send(dst, head: bytes, data: bytes) -> None:
+    """Write `head`, the length of `data` and `data` to a raw pipe; BrokenPipeError if its reader has gone."""
     try:
-        for part in (head + len(data).to_bytes(4, "big"), data):
-            view = memoryview(part)
-            while view:
-                view = view[os.write(fd, view) :]
+        _write_all(dst, head + len(data).to_bytes(4, "big"))
+        _write_all(dst, data)
     except BrokenPipeError:
         raise BrokenPipeError(_ENDED) from None
 
@@ -110,6 +108,7 @@ def run(nchunks: int, read, work, write) -> bool:
 
             gc.freeze()
             jobs = open(jobs_r, "rb", buffering=0, closefd=False)
+            results = open(results_w, "wb", buffering=0, closefd=False)
             while True:
                 head, data = _receive(jobs, 8)
                 i = int.from_bytes(head, "big")
@@ -117,12 +116,13 @@ def run(nchunks: int, read, work, write) -> bool:
                     status, out = b"=", work(i, data)
                 except Exception:  # sent back, for the parent to compute again and raise
                     status, out = b"!", data
-                _send(results_w, status, out)
+                _send(results, status, out)
         finally:
             os._exit(0)
     try:
+        jobs = open(jobs_w, "wb", buffering=0, closefd=False)
         results = open(results_r, "rb", buffering=0, closefd=False)
-        _dispatch(nchunks, read, work, write, jobs_w, results)
+        _dispatch(nchunks, read, work, write, jobs, results)
     finally:
         os.close(jobs_w)
         os.close(results_r)
@@ -133,7 +133,7 @@ def run(nchunks: int, read, work, write) -> bool:
     return True
 
 
-def _dispatch(nchunks: int, read, work, write, jobs: int, results) -> None:
+def _dispatch(nchunks: int, read, work, write, jobs, results) -> None:
     """The parent's side of run: read, hand out, compute and write in stream order."""
     ready = {}  # the reorder buffer: chunk index -> its output, or the error to raise at its turn
     sent = []  # the index of each chunk at the child, oldest first

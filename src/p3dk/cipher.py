@@ -41,6 +41,7 @@ claims (see README).
 """
 
 import contextlib
+import errno
 import io
 import os
 from collections import namedtuple
@@ -247,12 +248,44 @@ def _open_source(source: bytes | io.BufferedIOBase):
 
 
 def _read_up_to(src: io.RawIOBase | io.BufferedIOBase, count: int) -> bytearray:
-    """`count` bytes in one buffer, fewer only where src ends: one read of a pipe may give fewer."""
+    """`count` bytes in one buffer, fewer only where src ends: one read of a pipe may give fewer.
+
+    A non-blocking raw source with no byte ready (its readinto gives None) raises BlockingIOError.
+    """
     data = bytearray(count)
-    got = 0
+    got = part = 0
     while got < count and (part := src.readinto(memoryview(data)[got:] if got else data)):
         got += part
+    if part is None:
+        raise BlockingIOError(errno.EAGAIN, "the source is non-blocking and has no byte ready")
     return data if got == count else data[:got]
+
+
+def _write_all(dst: io.RawIOBase, data: bytes) -> None:
+    """Write all of `data` to a raw writer, one write of which may take only part of it.
+
+    A write that would block (it gives None) raises BlockingIOError, which counts the bytes written.
+    """
+    view = memoryview(data)
+    while view:
+        part = dst.write(view)
+        if part is None:
+            raise BlockingIOError(
+                errno.EAGAIN, "the writer is non-blocking and has no room", len(data) - len(view)
+            )
+        view = view[part:]
+
+
+def _writer(out: io.RawIOBase | io.BufferedIOBase | None, parts: list):
+    """parts.append without `out`; else out.write, through _write_all for a raw (io.RawIOBase) `out`.
+
+    Any other writer (a buffered file, BytesIO) is taken to take each write whole.
+    """
+    if out is None:
+        return parts.append
+    if isinstance(out, io.RawIOBase):
+        return lambda data: _write_all(out, data)
+    return out.write
 
 
 def _read_exact(src: io.RawIOBase | io.BufferedIOBase, count: int, what: str) -> bytearray:
@@ -326,12 +359,14 @@ def encrypt_stream(
     write each chunk once encrypted and return the number of bytes written.
     The header records the length, so a pipe is first spooled to a temp file
     (see _open_source).  A file that ends before its reported size, or runs
-    on past it (/dev/urandom reports 0 bytes), raises LengthError.
+    on past it (/dev/urandom reports 0 bytes), raises LengthError.  A raw
+    source or writer that would block raises BlockingIOError (see
+    _read_up_to and _writer).
     """
     with _open_source(plaintext) as (src, size):
         ek = expand_key_for(master)
         parts = []
-        write = parts.append if out is None else out.write
+        write = _writer(out, parts)
         write(MAGIC + bytes([VERSION, 0]) + (8 * size).to_bytes(8, "little"))
         _write_in_order(
             (size + CHUNK_BYTES - 1) // CHUNK_BYTES,
@@ -360,7 +395,8 @@ def decrypt_stream(
     the last block, raise IntegrityError.  Without `out`, return the
     plaintext as bytes.  With a binary writer `out`, write each chunk as soon
     as it is decrypted (chunks before a failing block have been written when
-    it raises) and return the number of bytes written.
+    it raises) and return the number of bytes written.  Raw streams are
+    read and written as in encrypt_stream.
     """
     with _open_source(container) as (src, size):
         header = _read_up_to(src, HEADER_BYTES)
@@ -396,7 +432,7 @@ def decrypt_stream(
             nchunks,
             read,
             lambda i, payload: _decrypt_chunk(payload, i * CHUNK_BLOCKS, bit_len, ek),
-            parts.append if out is None else out.write,
+            _writer(out, parts),
         )
     return b"".join(parts) if out is None else bit_len // 8
 

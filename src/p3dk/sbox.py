@@ -7,13 +7,14 @@ the full 4096-entry forward/inverse tables are materialized; a triple is
 looked up as box.forward[a << 8 | b << 4 | c].
 
 An SBox3D is a collections.namedtuple (rotation, forward, inverse): an
-immutable tuple that compares by value.  build_sbox builds each rotation's
-record on its first call and returns that same record after; a box cannot
-change, so sharing is safe.  Every table entry is taken from one tuple of
-the 4096 possible values, so all 32 tables share the same 4096 int objects
-instead of each holding its own copies.  R is an additive key on the first
-nibble, forward_R(a, b, c) = forward_0((a + R) mod 16, b, c), so every
-rotation is one table read at a keyed offset:
+immutable tuple that compares by value.  build_sbox is memoised by
+functools.cache, so it builds each rotation's record on its first call and
+returns that same record after; a box cannot change, so sharing is safe.
+Every table entry is taken from one tuple of the 4096 possible values, so
+all 32 tables share the same 4096 int objects instead of each holding its
+own copies.  R is an additive key on the first nibble,
+forward_R(a, b, c) = forward_0((a + R) mod 16, b, c), so every rotation is
+one table read at a keyed offset:
 forward_R[i] = forward_0[(i + 256R) mod 4096], inverse_R[y] = (inverse_0[y] - 256R) mod 4096.
 
 sub_state and inv_sub_state take the cipher state as one 744-bit int and
@@ -23,6 +24,7 @@ loop shifts the state once per four triples: 15 windows of 48 bits, then a
 24-bit tail of two triples.
 """
 
+import functools
 from collections import namedtuple
 
 from .cube import ENCODED_BYTES
@@ -39,28 +41,25 @@ _VALUES = tuple(range(TRIPLE_COUNT))
 _DOWN = _VALUES[-256:] + _VALUES[:-256]  # v -> (v - 256) mod 4096
 
 SBox3D = namedtuple("SBox3D", "rotation forward inverse")
-_BOXES: dict[int, SBox3D] = {}
 
 
+@functools.cache
 def build_sbox(rotation: int) -> SBox3D:
     """The S-box of a rotation in [0, ROTATIONS): built on its first call, the same record after."""
     if not 0 <= rotation < ROTATIONS:
         raise RangeError(f"rotation must be in [0, {ROTATIONS - 1}], got {rotation}")
-    box = _BOXES.get(rotation)
-    if box is None:
-        forward = [0] * TRIPLE_COUNT
-        inverse = [0] * TRIPLE_COUNT
-        # For fixed (b, c) the inputs (a, b, c), a = 0..15, sit 256 apart and map
-        # in order onto the 16 consecutive outputs (b, c, d) rotated left by
-        # c + 8 + R, so each (b, c) costs one slice assignment per table.
-        for bc in range(256):
-            turn = (bc + OFFSET + rotation) & 0xF
-            outs = _VALUES[bc << 4 : (bc + 1) << 4]
-            srcs = _VALUES[bc::256]
-            forward[bc::256] = outs[turn:] + outs[:turn]
-            inverse[bc << 4 : (bc + 1) << 4] = srcs[16 - turn :] + srcs[: 16 - turn]
-        box = _BOXES[rotation] = SBox3D(rotation, tuple(forward), tuple(inverse))
-    return box
+    forward = [0] * TRIPLE_COUNT
+    inverse = [0] * TRIPLE_COUNT
+    # For fixed (b, c) the inputs (a, b, c), a = 0..15, sit 256 apart and map
+    # in order onto the 16 consecutive outputs (b, c, d) rotated left by
+    # c + 8 + R, so each (b, c) costs one slice assignment per table.
+    for bc in range(256):
+        turn = (bc + OFFSET + rotation) & 0xF
+        outs = _VALUES[bc << 4 : (bc + 1) << 4]
+        srcs = _VALUES[bc::256]
+        forward[bc::256] = outs[turn:] + outs[:turn]
+        inverse[bc << 4 : (bc + 1) << 4] = srcs[16 - turn :] + srcs[: 16 - turn]
+    return SBox3D(rotation, tuple(forward), tuple(inverse))
 
 
 def rotate(box: SBox3D, count: int) -> SBox3D:

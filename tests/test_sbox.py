@@ -27,6 +27,19 @@ def test_rotation_out_of_range():
         build_sbox(-1)
 
 
+def test_each_rotation_is_built_once_and_a_bad_one_never_cached():
+    """Every call for a rotation gives its one record; an invalid rotation raises on every call."""
+    for rotation in range(16):
+        assert build_sbox(rotation) is build_sbox(rotation)
+    cached = build_sbox.cache_info().currsize
+    for rotation in (-1, 16, -1, 16):
+        with pytest.raises(RangeError):
+            build_sbox(rotation)
+    with pytest.raises(TypeError):  # not rotation 3's record, though that one is built
+        build_sbox(3.0)
+    assert build_sbox.cache_info().currsize == cached
+
+
 def test_invert_spot_values():
     assert build_sbox(0).inverse[0xBCE] == 0xABC
     assert build_sbox(8).inverse[0x000] == 0x000
