@@ -272,7 +272,7 @@ def render_svg(report: BenchReport) -> str:
         return height - margin - (y - y_lo) / y_span * plot_h
 
     points = " ".join(f"{sx(x):.1f},{sy(y):.1f}" for x, y in zip(xs, ys))
-    parts = [
+    lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
         f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
@@ -283,22 +283,22 @@ def render_svg(report: BenchReport) -> str:
         f'<polyline points="{points}" fill="none" stroke="steelblue" stroke-width="2"/>',
     ]
     for x, y, (label, _) in zip(xs, ys, report.rows):
-        parts.append(f'<circle cx="{sx(x):.1f}" cy="{sy(y):.1f}" r="3" fill="steelblue"/>')
-        parts.append(
+        lines.append(f'<circle cx="{sx(x):.1f}" cy="{sy(y):.1f}" r="3" fill="steelblue"/>')
+        lines.append(
             f'<text x="{sx(x):.1f}" y="{height - margin + 16}" '
             f'font-size="11" text-anchor="middle">{label}</text>'
         )
-    parts.append(
+    lines.append(
         f'<text x="{width / 2:.0f}" y="{height - 14}" font-size="13" '
         f'text-anchor="middle">{report.experiment}</text>'
     )
-    parts.append(
+    lines.append(
         f'<text x="16" y="{height / 2:.0f}" font-size="13" text-anchor="middle" '
         f'transform="rotate(-90 16 {height / 2:.0f})">{report.unit}</text>'
     )
-    parts.append(
+    lines.append(
         f'<text x="{margin}" y="{margin - 8}" font-size="11">'
         f"{y_hi:.6g} {report.unit} max</text>"
     )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    lines.append("</svg>")
+    return "\n".join(lines) + "\n"

@@ -32,9 +32,10 @@ plaintext bit length:
 
     magic "P3DK" | version 0x01 | flags 0x00 | bit length (8B LE) | blocks
 
-The stream functions read and write CHUNK_BYTES of plaintext (CHUNK_BLOCKS
-blocks) at a time, so their memory does not grow with the input; a stream of
-two chunks or more may share them with one forked child (`p3dk._twoproc`).
+Both stream functions cut their input into chunks in one loop, CHUNK_BYTES of
+plaintext (CHUNK_BLOCKS blocks) each, so their memory does not grow with the
+input; a stream of two chunks or more may share them with one forked child
+(`p3dk._twoproc`).
 
 Codebook mode leaks equal-block structure; this artifact makes no security
 claims (see README).
@@ -68,6 +69,7 @@ CHUNK_BLOCKS = 8 * CHUNK_BYTES // BLOCK_BITS
 
 _STATE_MASK = (1 << STATE_BITS) - 1
 _PAD_MASK = (1 << PAD_BITS) - 1
+_BLOCK_MASK = (1 << BLOCK_BITS) - 1
 _MASK64 = (1 << 64) - 1
 FNV_OFFSET = 0xCBF29CE484222325
 FNV_PRIME = 0x00000100000001B3
@@ -219,7 +221,7 @@ def decrypt_block(c93: bytes, ek: ExpandedKey) -> bytes:
 
 
 @contextlib.contextmanager
-def _open_source(source: bytes | io.BufferedIOBase):
+def _open_source(source: bytes | io.RawIOBase | io.BufferedIOBase):
     """A binary reader over bytes or a readable binary file, and the int count of bytes left in it.
 
     A bytes object is wrapped without a copy.  A file whose tell() or seek to
@@ -276,13 +278,11 @@ def _write_all(dst: io.RawIOBase, data: bytes) -> None:
         view = view[part:]
 
 
-def _writer(out: io.RawIOBase | io.BufferedIOBase | None, parts: list):
-    """parts.append without `out`; else out.write, through _write_all for a raw (io.RawIOBase) `out`.
+def _writer(out: io.RawIOBase | io.BufferedIOBase):
+    """out.write, through _write_all for a raw (io.RawIOBase) `out`.
 
     Any other writer (a buffered file, BytesIO) is taken to take each write whole.
     """
-    if out is None:
-        return parts.append
     if isinstance(out, io.RawIOBase):
         return lambda data: _write_all(out, data)
     return out.write
@@ -296,18 +296,16 @@ def _read_exact(src: io.RawIOBase | io.BufferedIOBase, count: int, what: str) ->
 
 
 def _encrypt_chunk(data: bytes, ek: ExpandedKey) -> bytearray:
-    """Encrypt a chunk, taking its bits BLOCK_BITS at a time, MSB first, from one integer.
+    """Encrypt a chunk into one buffer, its bits left-aligned to whole blocks of BLOCK_BITS.
 
-    The blocks go into one buffer of the final size, with no list of them beside it.
+    The zeros the alignment appends pad a last block of n bits as pad_block(bits, n) would.
     """
-    value = int.from_bytes(data, "big")
-    rest = 8 * len(data)
-    out = bytearray(STATE_BYTES * ((rest + BLOCK_BITS - 1) // BLOCK_BITS))
-    for start in range(0, len(out), STATE_BYTES):
-        count = min(BLOCK_BITS, rest)
-        rest -= count
-        bits = (value >> rest) & ((1 << count) - 1)
-        out[start : start + STATE_BYTES] = encrypt_block(pad_block(bits, count), ek)
+    count = (8 * len(data) + BLOCK_BITS - 1) // BLOCK_BITS
+    value = int.from_bytes(data, "big") << (BLOCK_BITS * count - 8 * len(data))
+    out = bytearray(count * STATE_BYTES)
+    for i in range(count):
+        p31 = pad_block(value >> (BLOCK_BITS * (count - 1 - i)) & _BLOCK_MASK, BLOCK_BITS)
+        out[i * STATE_BYTES : (i + 1) * STATE_BYTES] = encrypt_block(p31, ek)
     return out
 
 
@@ -335,12 +333,17 @@ def _decrypt_chunk(payload: bytes, first: int, bit_len: int, ek: ExpandedKey) ->
     return (value >> excess).to_bytes((nbits + 7) // 8, "big")
 
 
-def _write_in_order(nchunks: int, read, work, write) -> None:
-    """write(work(i, read(i))) for i in range(nchunks), in that order.
+def _write_in_order(src, total: int, step: int, what: str, work, write) -> None:
+    """write(work(i, chunk i)) in order, the next `total` bytes of src cut into `step`-byte chunks.
 
-    A stream of two chunks or more goes to p3dk._twoproc, imported only then,
-    which shares its chunks with one forked child when it can.
+    A chunk src ends before raises LengthError naming `what`.  Two chunks or more go
+    to p3dk._twoproc, imported only then, which may share them with a forked child.
     """
+    nchunks = (total + step - 1) // step
+
+    def read(i: int) -> bytearray:
+        return _read_exact(src, min(step, total - i * step), what)
+
     if nchunks >= 2:
         from . import _twoproc
 
@@ -351,7 +354,9 @@ def _write_in_order(nchunks: int, read, work, write) -> None:
 
 
 def encrypt_stream(
-    plaintext: bytes | io.BufferedIOBase, master: bytes, out: io.BufferedIOBase | None = None
+    plaintext: bytes | io.RawIOBase | io.BufferedIOBase,
+    master: bytes,
+    out: io.RawIOBase | io.BufferedIOBase | None = None,
 ) -> bytes | int:
     """Encrypt bytes or a readable binary file into a ciphertext container (codebook mode).
 
@@ -363,25 +368,24 @@ def encrypt_stream(
     source or writer that would block raises BlockingIOError (see
     _read_up_to and _writer).
     """
+    dst = io.BytesIO() if out is None else out
     with _open_source(plaintext) as (src, size):
         ek = expand_key_for(master)
-        parts = []
-        write = _writer(out, parts)
+        write = _writer(dst)
         write(MAGIC + bytes([VERSION, 0]) + (8 * size).to_bytes(8, "little"))
         _write_in_order(
-            (size + CHUNK_BYTES - 1) // CHUNK_BYTES,
-            lambda i: _read_exact(src, min(CHUNK_BYTES, size - i * CHUNK_BYTES), "input"),
-            lambda i, data: _encrypt_chunk(data, ek),
-            write,
+            src, size, CHUNK_BYTES, "input", lambda i, data: _encrypt_chunk(data, ek), write
         )
         if src.read(1):
             raise LengthError(f"input runs past the {size} bytes it reported")
     nblocks = (8 * size + BLOCK_BITS - 1) // BLOCK_BITS
-    return b"".join(parts) if out is None else HEADER_BYTES + nblocks * STATE_BYTES
+    return dst.getvalue() if out is None else HEADER_BYTES + nblocks * STATE_BYTES
 
 
 def decrypt_stream(
-    container: bytes | io.BufferedIOBase, master: bytes, out: io.BufferedIOBase | None = None
+    container: bytes | io.RawIOBase | io.BufferedIOBase,
+    master: bytes,
+    out: io.RawIOBase | io.BufferedIOBase | None = None,
 ) -> bytes | int:
     """Invert encrypt_stream on bytes or a binary file, truncating to the recorded bit length.
 
@@ -398,6 +402,7 @@ def decrypt_stream(
     it raises) and return the number of bytes written.  Raw streams are
     read and written as in encrypt_stream.
     """
+    dst = io.BytesIO() if out is None else out
     with _open_source(container) as (src, size):
         header = _read_up_to(src, HEADER_BYTES)
         if len(header) < HEADER_BYTES:
@@ -417,24 +422,16 @@ def decrypt_stream(
                 f"payload is {size - HEADER_BYTES} bytes, header implies {nblocks * STATE_BYTES}"
             )
         ek = expand_key_for(master)
-        nchunks = (nblocks + CHUNK_BLOCKS - 1) // CHUNK_BLOCKS
-
-        def read(i: int) -> bytearray:
-            count = min(CHUNK_BLOCKS, nblocks - i * CHUNK_BLOCKS) * STATE_BYTES
-            return _read_exact(src, count, "container")
-
-        if nchunks >= 2:  # block 0 first, so a wrong key fails before any fork
+        if nblocks > CHUNK_BLOCKS:  # block 0 first, so a wrong key fails before any fork
             at = src.tell()
             _decrypt_chunk(_read_exact(src, STATE_BYTES, "container"), 0, bit_len, ek)
             src.seek(at)
-        parts = []
         _write_in_order(
-            nchunks,
-            read,
+            src, size - HEADER_BYTES, CHUNK_BLOCKS * STATE_BYTES, "container",
             lambda i, payload: _decrypt_chunk(payload, i * CHUNK_BLOCKS, bit_len, ek),
-            _writer(out, parts),
+            _writer(dst),
         )
-    return b"".join(parts) if out is None else bit_len // 8
+    return dst.getvalue() if out is None else bit_len // 8
 
 
 def generate_master_key() -> bytes:

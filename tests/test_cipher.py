@@ -317,6 +317,16 @@ def test_multi_chunk_stream_matches_oracle(size, monkeypatch):
     assert len(forks) == (2 if size > cipher.CHUNK_BYTES and _twoproc._may_fork() else 0)
 
 
+def test_every_block_tail_matches_the_oracle():
+    """8n mod 243 takes every value for n = 0..242, so these lengths end in every partial last block."""
+    gen = random.Random(243)
+    key, data = gen.randbytes(31), gen.randbytes(242)
+    for n in range(243):
+        box = encrypt_stream(data[:n], key)
+        assert box == kat_oracle.encrypt_container(data[:n], key), n
+        assert decrypt_stream(box, key) == data[:n], n
+
+
 def _flip(box: bytes, *blocks: int) -> bytes:
     """The container with one bit flipped in each of the given blocks."""
     bad = bytearray(box)
@@ -1022,6 +1032,48 @@ def test_a_file_that_runs_past_its_reported_size_is_a_length_error():
         if os.path.exists(path):
             with open(path, "rb") as src, pytest.raises(LengthError, match="^input runs past the 0 bytes it reported$"):
                 encrypt_stream(src, key)
+
+
+class _Overstated(_Understated):
+    """A file that ends `missing` bytes before the end a seek to its end reports, as one cut short does."""
+
+    def __init__(self, data: bytes, missing: int):
+        super().__init__(data, -missing)
+
+
+def _ends_early(stream, source, key: bytes, error: str, monkeypatch) -> bytes:
+    """What `stream` wrote before it raised LengthError `error`, with no spool made and no child left."""
+    monkeypatch.setattr(tempfile, "TemporaryFile", lambda: pytest.fail("a seekable source was spooled"))
+    out = io.BytesIO()
+    with pytest.raises(LengthError, match=f"^{error}$"):
+        stream(source, key, out)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return out.getvalue()
+
+
+_ONE_AND_THREE_CHUNKS = pytest.mark.parametrize("size", (10, 20_000), ids=("one_chunk", "multi_chunk"))
+
+
+@_ONE_AND_THREE_CHUNKS
+def test_a_message_shorter_than_it_reports_is_a_length_error(size, monkeypatch):
+    """5 bytes short, it raises in its last chunk, once the header and the chunks before are written."""
+    key, data = bytes([0x2A] * 31), random.Random(size).randbytes(size)
+    reported = encrypt_stream(data + bytes(5), key)
+    error = "input ended 5 bytes early"
+    written = _ends_early(encrypt_stream, _Overstated(data, 5), key, error, monkeypatch)
+    before = size // cipher.CHUNK_BYTES * cipher.CHUNK_BLOCKS * STATE_BYTES
+    assert written == reported[: cipher.HEADER_BYTES + before]
+
+
+@_ONE_AND_THREE_CHUNKS
+def test_a_container_shorter_than_it_reports_is_a_length_error(size, monkeypatch):
+    """One block short, it raises in its last chunk, once the chunks before are written."""
+    key, data = bytes([0x2A] * 31), random.Random(size).randbytes(size)
+    short = _Overstated(encrypt_stream(data, key)[:-STATE_BYTES], STATE_BYTES)
+    error = f"container ended {STATE_BYTES} bytes early"
+    written = _ends_early(decrypt_stream, short, key, error, monkeypatch)
+    assert written == data[: size // cipher.CHUNK_BYTES * cipher.CHUNK_BYTES]
 
 
 def test_bit_length_not_a_whole_number_of_bytes_is_a_format_error():
