@@ -214,13 +214,13 @@ def avalanche(trials: int) -> BenchReport:
     gen = random.Random(CONTENT_SEED)
     fractions = []
     for _ in range(keys):
-        key = pad_block(int.from_bytes(gen.randbytes(KEY_BYTES), "big") >> PAD_BITS, BLOCK_BITS)
+        key = pad_block(int.from_bytes(gen.randbytes(KEY_BYTES), "big") >> PAD_BITS)
         ek = expand_key_for(key)
         for _ in range(flips):
             bits = gen.getrandbits(BLOCK_BITS)
             position = gen.randrange(BLOCK_BITS)
-            c1 = encrypt_block(pad_block(bits, BLOCK_BITS), ek)
-            c2 = encrypt_block(pad_block(bits ^ (1 << position), BLOCK_BITS), ek)
+            c1 = encrypt_block(pad_block(bits), ek)
+            c2 = encrypt_block(pad_block(bits ^ (1 << position)), ek)
             changed = (int.from_bytes(c1, "big") ^ int.from_bytes(c2, "big")).bit_count()
             fractions.append(changed / STATE_BITS)
     rows = [

@@ -89,13 +89,11 @@ _HI2 = 0xFFFF << (_ROW_BITS - 16)
 _LO2 = _ROW2 ^ _HI2
 
 
-def pad_block(bits: int, nbits: int) -> bytes:
-    """Pack up to 243 data bits plus 5 zero pad bits into 31 bytes, MSB first."""
-    if nbits > BLOCK_BITS:
-        raise LengthError(f"at most {BLOCK_BITS} bits per block, got {nbits}")
-    if nbits < 0 or bits < 0 or bits >> nbits:
-        raise LengthError(f"bits value does not fit in {nbits} bits")
-    return (bits << (BLOCK_BITS + PAD_BITS - nbits)).to_bytes(KEY_BYTES, "big")
+def pad_block(bits: int) -> bytes:
+    """Pack one block's 243 data bits plus 5 zero pad bits into 31 bytes, MSB first."""
+    if not 0 <= bits < 1 << BLOCK_BITS:
+        raise LengthError(f"bits value does not fit in {BLOCK_BITS} bits")
+    return (bits << PAD_BITS).to_bytes(KEY_BYTES, "big")
 
 
 def unpad_block(block: bytes) -> int:
@@ -298,13 +296,13 @@ def _read_exact(src: io.RawIOBase | io.BufferedIOBase, count: int, what: str) ->
 def _encrypt_chunk(data: bytes, ek: ExpandedKey) -> bytearray:
     """Encrypt a chunk into one buffer, its bits left-aligned to whole blocks of BLOCK_BITS.
 
-    The zeros the alignment appends pad a last block of n bits as pad_block(bits, n) would.
+    The zeros the alignment appends are the last block's padding.
     """
     count = (8 * len(data) + BLOCK_BITS - 1) // BLOCK_BITS
     value = int.from_bytes(data, "big") << (BLOCK_BITS * count - 8 * len(data))
     out = bytearray(count * STATE_BYTES)
     for i in range(count):
-        p31 = pad_block(value >> (BLOCK_BITS * (count - 1 - i)) & _BLOCK_MASK, BLOCK_BITS)
+        p31 = pad_block(value >> (BLOCK_BITS * (count - 1 - i)) & _BLOCK_MASK)
         out[i * STATE_BYTES : (i + 1) * STATE_BYTES] = encrypt_block(p31, ek)
     return out
 
@@ -436,7 +434,7 @@ def decrypt_stream(
 
 def generate_master_key() -> bytes:
     """Fresh 31-byte key from system entropy, tail bits zeroed."""
-    return pad_block(int.from_bytes(os.urandom(KEY_BYTES), "big") >> PAD_BITS, BLOCK_BITS)
+    return pad_block(int.from_bytes(os.urandom(KEY_BYTES), "big") >> PAD_BITS)
 
 
 def validate_master_key(kb: bytes) -> bytes:

@@ -35,6 +35,7 @@ from p3dk.cipher import (
     pad_block,
     rotl_bits,
     shift_rows,
+    unpad_block,
     validate_master_key,
 )
 from p3dk.errors import (
@@ -48,26 +49,38 @@ from p3dk.errors import (
 
 
 def test_pad_block_all_zero_bits():
-    assert pad_block(0, 243) == bytes(31)
+    assert pad_block(0) == bytes(31)
 
 
 def test_pad_block_all_one_bits():
-    assert pad_block((1 << 243) - 1, 243) == bytes([0xFF] * 30) + b"\xe0"
+    assert pad_block((1 << 243) - 1) == bytes([0xFF] * 30) + b"\xe0"
 
 
 def test_pad_block_single_one_bit():
-    assert pad_block(1, 1) == b"\x80" + bytes(30)
+    assert pad_block(1 << 242) == b"\x80" + bytes(30)
 
 
 def test_pad_block_too_many_bits():
     with pytest.raises(LengthError):
-        pad_block(0, 244)
+        pad_block(1 << 243)
 
 
-@pytest.mark.parametrize("bits, nbits", [(-1, 8), (256, 8), (2, 1), (0, -1)])
-def test_pad_block_value_must_fit(bits, nbits):
+@pytest.mark.parametrize(
+    "bits", [-1, 1 << 243, (1 << 244) - 1], ids=["-1", "1<<243", "(1<<244)-1"]
+)
+def test_pad_block_value_must_fit(bits):
     with pytest.raises(LengthError):
-        pad_block(bits, nbits)
+        pad_block(bits)
+
+
+@given(st.integers(0, (1 << BLOCK_BITS) - 1))
+def test_unpad_block_inverts_pad_block(bits):
+    assert unpad_block(pad_block(bits)) == bits
+
+
+@given(st.binary(min_size=31, max_size=31).map(lambda b: b[:-1] + bytes([b[-1] & 0xE0])))
+def test_pad_block_inverts_unpad_block(block):
+    assert pad_block(unpad_block(block)) == block
 
 
 def test_rotl_bits_full_cycle_and_bytewise():
@@ -197,7 +210,7 @@ def test_block_round_trip_random_keys():
     for _ in range(1000):
         key = gen.randbytes(31)
         ek = expand_key_for(key)
-        block = pad_block(gen.getrandbits(243), 243)
+        block = pad_block(gen.getrandbits(243))
         assert decrypt_block(encrypt_block(block, ek), ek) == block
 
 
@@ -226,8 +239,8 @@ def test_oracle_reproduces_frozen_vectors():
 
 def test_single_bit_flip_changes_ciphertext():
     ek = expand_key_for(bytes([0x2A] * 31))
-    base = encrypt_block(pad_block(0, 243), ek)
-    flipped = encrypt_block(pad_block(1 << 120, 243), ek)
+    base = encrypt_block(pad_block(0), ek)
+    flipped = encrypt_block(pad_block(1 << 120), ek)
     assert base != flipped
 
 
@@ -237,7 +250,7 @@ def test_wrong_key_usually_fails_to_decode():
     trials = 300
     for _ in range(trials):
         block = encrypt_block(
-            pad_block(gen.getrandbits(243), 243), expand_key_for(gen.randbytes(31))
+            pad_block(gen.getrandbits(243)), expand_key_for(gen.randbytes(31))
         )
         try:
             decrypt_block(block, expand_key_for(gen.randbytes(31)))
@@ -256,7 +269,7 @@ def test_decrypt_block_truncated():
 def test_even_rounds_really_mix(monkeypatch):
     key = bytes([0x2A] * 31)
     ek = expand_key_for(key)
-    block = pad_block(12345, 243)
+    block = pad_block(12345)
     standard = encrypt_block(block, ek)
     monkeypatch.setattr(cipher, "mix_columns", lambda state: state)
     assert encrypt_block(block, ek) != standard
@@ -1121,13 +1134,13 @@ def test_a_block_makes_the_calls_perfbench_traces(monkeypatch):
         "cipher.rotl_bits": 1, "cube.encode_block": 1, "sbox.build_sbox": 1,
     }
     calls.clear()
-    block = cipher.encrypt_block(pad_block(12345, 243), ek)
+    block = cipher.encrypt_block(pad_block(12345), ek)
     assert calls == {
         "cipher.encrypt_block": 1, "cube.encode_block": 1, "sbox.sub_state": 16,
         "cipher.shift_rows": 16, "cipher.mix_columns": 8,
     }
     calls.clear()
-    assert cipher.decrypt_block(block, ek) == pad_block(12345, 243)
+    assert cipher.decrypt_block(block, ek) == pad_block(12345)
     assert calls == {
         "cipher.decrypt_block": 1, "cube.decode_block": 1, "sbox.inv_sub_state": 16,
         "cipher.inv_shift_rows": 16, "cipher.inv_mix_columns": 8,

@@ -39,7 +39,7 @@ _STATE_MASK = (1 << STATE_BITS) - 1
 
 
 def _block(gen: random.Random) -> bytearray:
-    return bytearray(pad_block(gen.getrandbits(BLOCK_BITS), BLOCK_BITS))
+    return bytearray(pad_block(gen.getrandbits(BLOCK_BITS)))
 
 
 def _enc(block: bytes, ek) -> int:
