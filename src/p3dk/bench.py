@@ -1,11 +1,13 @@
 """Benchmark harness: timing sweeps, a diffusion metric, CSV and SVG renderers.
 
-Three timing experiments (encryption time vs file size, table-rotation time
-vs rotation count, per-message setup time vs input bit length) plus an
-avalanche statistic over a given number of bit flips.  `timeit` times every
-sweep on the monotonic `perf_counter` clock, and times the library as it
-runs: a multi-chunk `encrypt_stream` in `bench_filesize` runs on two
-processes where p3dk._twoproc forks a child.  The sweeps discard warmup
+Three timing experiments, the paper's figures, each at its fixed points:
+encryption time vs file size (SIZES_KB), table-rotation time vs rotation
+count (0..16), and per-message setup time vs input bit length (BIT_LENGTHS);
+only the number of trials is chosen per run.  An avalanche statistic over a
+given number of bit flips sits beside them.  `timeit` times every sweep on
+the monotonic `perf_counter` clock, and times the library as it runs: a
+multi-chunk `encrypt_stream` in `bench_filesize` runs on two processes
+where p3dk._twoproc forks a child.  The sweeps discard warmup
 passes and report the median over trials; medians resist scheduler noise
 better than means.  Absolute values are hardware-bound, so tests assert
 shapes (monotonicity, linear fit), never milliseconds.  Reference timings
@@ -35,13 +37,12 @@ from .cipher import (
 from .errors import UsageError
 from .sbox import ROTATIONS, build_sbox, rotate
 
-DEFAULT_SIZES_KB = (20, 35, 155, 333, 512)
-DEFAULT_BIT_LENGTHS = (3, 9, 27, 81, 243)
+# The points of the file-size and set-up figures, in ascending order; each
+# sweep reads its tuple when it is called.
+SIZES_KB = (20, 35, 155, 333, 512)
+BIT_LENGTHS = (3, 9, 27, 81, 243)
 DEFAULT_TRIALS = 5
 CONTENT_SEED = 0x9D3B
-# The largest file one Random.randbytes call makes on CPython 3.11, whose
-# getrandbits takes at most 2**31 - 1 bits: 262,143 KB.
-MAX_SIZE_KB = (2**31 - 1) // 8 // 1024
 
 REF_FILESIZE_S = {20: 28, 35: 58, 155: 261, 333: 468, 512: 501}
 REF_ROTATIONS_MS = {n: round(0.003 * n, 3) for n in range(ROTATIONS + 1)}
@@ -102,64 +103,52 @@ def _report(experiment: str, unit: str, rows, trials: int, **extra) -> BenchRepo
     return BenchReport(experiment, unit, rows, metadata)
 
 
-def bench_filesize(sizes_kb=DEFAULT_SIZES_KB, trials: int = DEFAULT_TRIALS) -> BenchReport:
-    """Median encrypt_stream wall time for each synthetic file size.
+def bench_filesize(trials: int = DEFAULT_TRIALS) -> BenchReport:
+    """Median encrypt_stream wall time for each synthetic file size in SIZES_KB.
 
     All sizes are timed side by side, one call each per trial.
     """
-    sizes = sorted(sizes_kb)
-    if not sizes:
-        raise UsageError("size list must not be empty")
-    if any(s <= 0 for s in sizes):
-        raise UsageError(f"sizes must be positive, got {sizes}")
-    if sizes[-1] > MAX_SIZE_KB:
-        raise UsageError(f"sizes must be at most {MAX_SIZE_KB} KB, got {sizes}")
     gen = random.Random(CONTENT_SEED)
-    files = [gen.randbytes(size * 1024) for size in sizes]
+    files = [gen.randbytes(size * 1024) for size in SIZES_KB]
     medians = _side_by_side_medians(
         [lambda data=data: encrypt_stream(data, FILESIZE_KEY) for data in files],
         trials, batch=1, passes=1, kept=1,
     )
-    rows = [(str(s), seconds) for s, seconds in zip(sizes, medians)]
+    rows = [(str(s), seconds) for s, seconds in zip(SIZES_KB, medians)]
     return _report(
         "filesize", "s", rows, trials,
         iterations=1,
-        sizes_kb=",".join(str(s) for s in sizes),
+        sizes_kb=",".join(str(s) for s in SIZES_KB),
         content_seed=CONTENT_SEED,
         ref_hardware_s=_ref_series(REF_FILESIZE_S),
     )
 
 
-def bench_rotations(max_count: int = ROTATIONS, trials: int = DEFAULT_TRIALS) -> BenchReport:
-    """Median rotate() time for 0..max_count unit table rotations.
+def bench_rotations(trials: int = DEFAULT_TRIALS) -> BenchReport:
+    """Median rotate() time for 0..ROTATIONS unit table rotations, with a fitted line.
 
     All counts are timed side by side, one call each per pass, so slow clock
     or thermal drift lands on every count equally instead of skewing the
     fitted line.
     """
-    if not 0 <= max_count <= ROTATIONS:
-        raise UsageError(f"max_count must be in [0, {ROTATIONS}], got {max_count}")
     box = build_sbox(0)
-    counts = range(max_count + 1)
+    counts = range(ROTATIONS + 1)
     medians = _side_by_side_medians(
         [lambda n=n: rotate(box, n) for n in counts],
         trials, 1, ROTATION_PASSES, ROTATION_KEPT,
     )
     rows = [(str(n), seconds * 1e3) for n, seconds in zip(counts, medians)]
-    report = _report(
+    ys = [value for _, value in rows]
+    fit = statistics.linear_regression(counts, ys)
+    r = statistics.correlation(counts, ys)
+    return _report(
         "rotations", "ms", rows, trials,
         iterations=ROTATION_PASSES,
         iterations_kept=ROTATION_KEPT,
         ref_hardware_ms=_ref_series(REF_ROTATIONS_MS),
+        slope_ms_per_rotation=f"{fit.slope:.6f}",
+        r_squared=f"{r * r:.6f}",
     )
-    if len(rows) >= 2:
-        xs = [float(label) for label, _ in rows]
-        ys = [value for _, value in rows]
-        fit = statistics.linear_regression(xs, ys)
-        r = statistics.correlation(xs, ys)
-        report.metadata["slope_ms_per_rotation"] = f"{fit.slope:.6f}"
-        report.metadata["r_squared"] = f"{r * r:.6f}"
-    return report
 
 
 def _setup_message(length_bits: int, payload: int) -> None:
@@ -169,27 +158,21 @@ def _setup_message(length_bits: int, payload: int) -> None:
     build_sbox(next_below(seed_from_bytes(cube.encode_bytes(data)), ROTATIONS)[0])
 
 
-def bench_sboxgen(bit_lengths=DEFAULT_BIT_LENGTHS, trials: int = DEFAULT_TRIALS) -> BenchReport:
-    """Median per-message setup time for each input bit length.
+def bench_sboxgen(trials: int = DEFAULT_TRIALS) -> BenchReport:
+    """Median per-message setup time for each input bit length in BIT_LENGTHS.
 
-    Lengths are powers of three up to 243.  Each length's warm-up call in
-    _side_by_side_medians builds the substitution table its message uses, so
-    the timed samples measure the marginal per-message work, which grows with
-    the input length.  All lengths are timed side by side, SBOXGEN_BATCH
-    calls each per pass.
+    Each length's warm-up call in _side_by_side_medians builds the
+    substitution table its message uses, so the timed samples measure the
+    marginal per-message work, which grows with the input length.  All
+    lengths are timed side by side, SBOXGEN_BATCH calls each per pass.
     """
-    lengths = sorted(bit_lengths)
-    if not lengths:
-        raise UsageError("bit length list must not be empty")
-    if any(n not in DEFAULT_BIT_LENGTHS for n in lengths):
-        raise UsageError(f"bit lengths must be from {DEFAULT_BIT_LENGTHS}")
     gen = random.Random(CONTENT_SEED)
-    payloads = [gen.getrandbits(n) for n in lengths]
+    payloads = [gen.getrandbits(n) for n in BIT_LENGTHS]
     medians = _side_by_side_medians(
-        [lambda n=n, p=p: _setup_message(n, p) for n, p in zip(lengths, payloads)],
+        [lambda n=n, p=p: _setup_message(n, p) for n, p in zip(BIT_LENGTHS, payloads)],
         trials, SBOXGEN_BATCH, SBOXGEN_PASSES, SBOXGEN_KEPT,
     )
-    rows = [(str(n), seconds * 1e3) for n, seconds in zip(lengths, medians)]
+    rows = [(str(n), seconds * 1e3) for n, seconds in zip(BIT_LENGTHS, medians)]
     return _report(
         "sboxgen", "ms", rows, trials,
         iterations=SBOXGEN_BATCH * SBOXGEN_PASSES,

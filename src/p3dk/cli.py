@@ -8,7 +8,9 @@ Each --out and --svg goes to a temp file beside it that replaces it only
 on success, so a failed run leaves no partial output (an I/O error names
 the temp path); a target that is not a regular file (a FIFO, a device) is
 refused.  keygen alone never overwrites, opening --out exclusively.
-encrypt and decrypt stream in fixed chunks; a bench --svg must not be --out.
+encrypt and decrypt stream in fixed chunks.  Each bench experiment runs at
+its paper figure's fixed points, so only --trials is chosen per run; a bench
+--svg must not be --out.
 """
 
 import argparse
@@ -67,29 +69,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="plaintext path")
     p.set_defaults(handler=_cmd_crypt)
 
-    p = sub.add_parser("bench", help="run a timing experiment")
+    p = sub.add_parser("bench", help="run a timing experiment at its paper figure's points")
     p.set_defaults(handler=_cmd_bench)
     bench_sub = p.add_subparsers(dest="experiment", required=True)
-    shared = argparse.ArgumentParser(add_help=False)  # the flags every experiment takes
-    shared.add_argument("--trials", type=int)
-    shared.add_argument("--out", required=True, help="CSV path")
-    shared.add_argument("--svg", help="optional SVG chart path")
-
-    b = bench_sub.add_parser("filesize", parents=[shared], help="encryption time vs file size")
-    b.add_argument("--sizes", help="comma-separated sizes in KB")
-    b.set_defaults(measure=lambda bench, a: bench.bench_filesize(
-        _parse_int_list(a.sizes, bench.DEFAULT_SIZES_KB), trials=a.trials
-    ))
-
-    b = bench_sub.add_parser("rotations", parents=[shared], help="table time vs rotation count")
-    b.add_argument("--max-count", type=int, default=ROTATIONS)
-    b.set_defaults(measure=lambda bench, a: bench.bench_rotations(a.max_count, trials=a.trials))
-
-    b = bench_sub.add_parser("sboxgen", parents=[shared], help="setup time vs input bit length")
-    b.add_argument("--sizes", help="comma-separated bit lengths")
-    b.set_defaults(measure=lambda bench, a: bench.bench_sboxgen(
-        _parse_int_list(a.sizes, bench.DEFAULT_BIT_LENGTHS), trials=a.trials
-    ))
+    for name, summary in (
+        ("filesize", "encryption time vs file size"),
+        ("rotations", "table time vs rotation count"),
+        ("sboxgen", "setup time vs input bit length"),
+    ):
+        b = bench_sub.add_parser(name, help=summary)
+        b.add_argument("--trials", type=int)
+        b.add_argument("--out", required=True, help="CSV path")
+        b.add_argument("--svg", help="optional SVG chart path")
 
     p = sub.add_parser("avalanche", help="plaintext-flip diffusion statistic")
     p.add_argument("--trials", type=int, required=True, help="total bit flips")
@@ -116,16 +107,6 @@ def _load_key(path: str) -> bytes:
     if len(kb) > KEY_BYTES:
         raise KeyFormatError(f"master key must be {KEY_BYTES} bytes, got more")
     return validate_master_key(kb)
-
-
-def _parse_int_list(text: str | None, default) -> list[int]:
-    """The integers in a comma-separated flag value, or default if it is unset or empty."""
-    if not text:
-        return default
-    try:
-        return [int(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        raise UsageError(f"expected comma-separated integers, got {text!r}") from None
 
 
 def _print(text: str) -> int:
@@ -189,7 +170,7 @@ def _cmd_bench(args) -> int:
         raise UsageError("--svg must differ from --out; refusing to write both to one file")
     if args.trials is None:
         args.trials = bench.DEFAULT_TRIALS
-    report = args.measure(bench, args)
+    report = getattr(bench, f"bench_{args.experiment}")(trials=args.trials)
     texts = {args.out: bench.render_csv(report)}
     if args.svg:
         texts[args.svg] = bench.render_svg(report)

@@ -179,7 +179,7 @@ def test_criterion_07_diffusion_gate():
 
 
 def test_criterion_08_rotation_timing_shape():
-    report = bench.bench_rotations(16, trials=5)
+    report = bench.bench_rotations(trials=5)
     values = [value for _, value in report.rows]
     non_decreasing = all(a <= b for a, b in zip(values, values[1:]))
     r_squared = float(report.metadata["r_squared"])

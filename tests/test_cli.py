@@ -168,20 +168,7 @@ def test_corrupted_payload_is_format_error(tmp_path):
 def test_bench_subcommand_writes_reports(tmp_path):
     csv_path = tmp_path / "r.csv"
     svg_path = tmp_path / "r.svg"
-    code = run(
-        [
-            "bench",
-            "rotations",
-            "--max-count",
-            "3",
-            "--trials",
-            "1",
-            "--out",
-            str(csv_path),
-            "--svg",
-            str(svg_path),
-        ]
-    )
+    code = run(["bench", "rotations", "--trials", "1", "--out", str(csv_path), "--svg", str(svg_path)])
     assert code == 0
     assert csv_path.read_text().startswith("# experiment: rotations")
     assert svg_path.read_text().startswith("<svg")
@@ -193,9 +180,10 @@ def test_bench_failure_leaves_out_as_it_was(tmp_path, monkeypatch, capsys, svg, 
     """An --svg that cannot be opened, or cannot be renamed over, changes no file."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "adir").mkdir()
+    monkeypatch.setattr(bench, "BIT_LENGTHS", (3,))
     if before is not None:
         (tmp_path / "ok.csv").write_bytes(before)
-    code = run(["bench", "rotations", "--max-count", "1", "--trials", "1", "--out", "ok.csv", "--svg", svg])
+    code = run(["bench", "sboxgen", "--trials", "1", "--out", "ok.csv", "--svg", svg])
     assert code == 2
     out, err = capsys.readouterr()
     assert out == ""
@@ -216,14 +204,15 @@ def test_fifo_target_is_refused_and_left_in_place(tmp_path, monkeypatch, capsys,
         Path("plain").write_bytes(b"attack at dawn")
         argv = ["encrypt", "--key", "key", "--in", "plain", "--out", "out.fifo"]
     else:
-        argv = ["bench", "rotations", "--max-count", "1", "--trials", "1", "--out", "r.csv", "--svg", "out.fifo"]
+        monkeypatch.setattr(bench, "BIT_LENGTHS", (3,))
+        argv = ["bench", "sboxgen", "--trials", "1", "--out", "s.csv", "--svg", "out.fifo"]
     assert run(argv) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "i/o error: out.fifo exists and is not a regular file; refusing to replace it\n"
     assert stat.S_ISFIFO(os.stat("out.fifo").st_mode)
     assert not list(tmp_path.glob("*.tmp"))
-    assert not Path("r.csv").exists()
+    assert not Path("s.csv").exists()
 
 
 def test_bench_refuses_svg_that_is_out(tmp_path, monkeypatch, capsys):
@@ -237,27 +226,18 @@ def test_bench_refuses_svg_that_is_out(tmp_path, monkeypatch, capsys):
     assert os.listdir(tmp_path) == []
 
 
-def test_bench_filesize_with_custom_sizes(tmp_path):
-    csv_path = tmp_path / "f.csv"
-    code = run(["bench", "filesize", "--sizes", "1,2", "--trials", "1", "--out", str(csv_path)])
-    assert code == 0
-    lines = [l for l in csv_path.read_text().splitlines() if not l.startswith("#")]
-    assert lines[0] == "label,value,unit"
-    assert len(lines) == 3
-
-
-def test_bench_filesize_rejects_oversized_file(tmp_path, capsys):
-    out = str(tmp_path / "big.csv")
-    code = run(["bench", "filesize", "--sizes", "300000", "--trials", "1", "--out", out])
-    assert code == 1
-    assert capsys.readouterr().err == "usage error: sizes must be at most 262143 KB, got [300000]\n"
+@pytest.mark.parametrize(
+    "experiment, flag", [("filesize", "--sizes"), ("sboxgen", "--sizes"), ("rotations", "--max-count")]
+)
+def test_bench_range_flags_are_usage_errors(tmp_path, monkeypatch, capsys, experiment, flag):
+    """Each experiment runs at its figure's fixed points; a flag that chose them is refused."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(bench, f"bench_{experiment}", lambda *a, **k: pytest.fail("measured"))
+    assert run(["bench", experiment, flag, "1", "--trials", "1", "--out", "x.csv"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"usage error: unrecognized arguments: {flag} 1\n"
     assert os.listdir(tmp_path) == []
-
-
-def test_bench_sboxgen_rejects_bad_lengths(tmp_path, capsys):
-    code = run(["bench", "sboxgen", "--sizes", "7", "--trials", "1", "--out", str(tmp_path / "s.csv")])
-    assert code == 1
-    assert "usage error" in capsys.readouterr().err
 
 
 def test_bench_rejects_zero_trials(tmp_path, capsys):
@@ -675,21 +655,15 @@ def test_bit_length_not_a_whole_number_of_bytes_exits_3(tmp_path, capsys):
     assert sorted(os.listdir(tmp_path)) == ["box", "key"]
 
 
-def test_bench_filesize_sizes_must_be_integers(tmp_path, capsys):
-    out = str(tmp_path / "f.csv")
-    assert run(["bench", "filesize", "--sizes", "3,x", "--trials", "1", "--out", out]) == 1
-    assert capsys.readouterr().err == "usage error: expected comma-separated integers, got '3,x'\n"
-    assert os.listdir(tmp_path) == []
-
-
 def test_bench_sboxgen_without_sizes_uses_the_default_bit_lengths(tmp_path):
     csv_path = tmp_path / "s.csv"
     assert run(["bench", "sboxgen", "--trials", "1", "--out", str(csv_path)]) == 0
     lines = [line for line in csv_path.read_text().splitlines() if not line.startswith("#")]
-    assert [line.split(",")[0] for line in lines[1:]] == [str(n) for n in bench.DEFAULT_BIT_LENGTHS]
+    assert [line.split(",")[0] for line in lines[1:]] == [str(n) for n in bench.BIT_LENGTHS]
 
 
-def test_bench_without_trials_uses_the_default(tmp_path):
-    csv_path = tmp_path / "r.csv"
-    assert run(["bench", "rotations", "--max-count", "1", "--out", str(csv_path)]) == 0
+def test_bench_without_trials_uses_the_default(tmp_path, monkeypatch):
+    monkeypatch.setattr(bench, "BIT_LENGTHS", (3,))
+    csv_path = tmp_path / "s.csv"
+    assert run(["bench", "sboxgen", "--out", str(csv_path)]) == 0
     assert "# trials: 5\n" in csv_path.read_text()
